@@ -1,7 +1,6 @@
 #include "core/offline/multiclass.h"
 
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/offline/filling_engine.h"
@@ -10,8 +9,6 @@
 
 namespace tsf {
 namespace {
-
-constexpr double kShareEps = 1e-7;
 
 // Variable layout: one variable per (user, class, eligible machine) triple
 // plus the share level s.
@@ -193,14 +190,16 @@ CompiledMultiClass CompileMultiClass(const MultiClassProblem& problem) {
   return compiled;
 }
 
+FillingSpec MakeMultiClassFillingSpec(const CompiledMultiClass& problem) {
+  return MakeSpec(problem, TripleLayout(problem));
+}
+
 MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem,
                                     const FillingOptions& options) {
   const TripleLayout layout(problem);
   FillingEngine engine(MakeSpec(problem, layout), options);
   const std::size_t n = problem.num_users;
 
-  std::vector<bool> active(n, true);
-  std::vector<double> frozen_tasks(n, 0.0);
   MultiClassResult result;
   result.allocation = EmptyAllocation(problem);
   result.shares.assign(n, 0.0);
@@ -208,39 +207,15 @@ MultiClassResult SolveMultiClassTsf(const CompiledMultiClass& problem,
   std::size_t num_active = n;
   std::size_t rounds = 0;
   std::vector<double> x;
-  std::vector<double> max_share;
   while (num_active > 0) {
     TSF_CHECK_LE(++rounds, n + 1) << "multi-class filling did not converge";
     double round_share = 0.0;
     TSF_CHECK(engine.SolveRound(&round_share, &x)) << "round LP infeasible";
     result.allocation = AllocationFromPrimal(problem, layout, x);
 
-    std::vector<double> current(n);
-    for (UserId i = 0; i < n; ++i)
-      current[i] = active[i] ? result.allocation.UserTasks(i) : frozen_tasks[i];
-    engine.ProbeMaxShares(active, current, &max_share);
-
-    std::vector<UserId> newly_inactive;
-    double closest_gap = std::numeric_limits<double>::infinity();
-    UserId closest = n;
-    for (UserId j = 0; j < n; ++j) {
-      if (!active[j]) continue;
-      const double gap = max_share[j] - round_share;
-      if (gap <= kShareEps * std::max(1.0, round_share)) {
-        newly_inactive.push_back(j);
-      } else if (gap < closest_gap) {
-        closest_gap = gap;
-        closest = j;
-      }
-    }
-    if (newly_inactive.empty()) {
-      TSF_CHECK_LT(closest, n);
-      newly_inactive.push_back(closest);
-    }
+    const std::vector<std::size_t> newly_inactive = engine.SaturatedUsers();
     for (const UserId j : newly_inactive) {
-      active[j] = false;
-      frozen_tasks[j] = result.allocation.UserTasks(j);
-      engine.FreezeUser(j, frozen_tasks[j]);
+      engine.FreezeUser(j, result.allocation.UserTasks(j));
       --num_active;
     }
   }

@@ -73,6 +73,12 @@ struct MultiClassResult {
   std::vector<double> shares;  // n_i / (H_i w_i)
 };
 
+// The engine form of the multi-class round LP: per user and class one
+// coupling row (class tasks = mix_ic * H_i w_i * s), plus the capacity rows.
+// Variables are (user, class, eligible machine) triples in user, class,
+// machine order. Exposed for tests that drive FillingEngine directly.
+FillingSpec MakeMultiClassFillingSpec(const CompiledMultiClass& problem);
+
 // Max-min fairness over multi-class task shares (progressive filling).
 // `options` tunes the LP engine (probe parallelism, dense executable-spec
 // mode); the result is identical for every setting.

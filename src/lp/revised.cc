@@ -68,6 +68,13 @@ void SimplexState::SetCoefficient(std::size_t row, std::size_t variable,
   solution_valid_ = false;
 }
 
+void SimplexState::SetObjectiveCoefficient(std::size_t variable,
+                                           double value) {
+  form_.SetObjectiveCoefficient(variable, value);
+  dirty_ = true;
+  solution_valid_ = false;
+}
+
 std::size_t SimplexState::SlackCol(std::size_t row) const {
   return form_.num_variables() + row;
 }
@@ -151,10 +158,15 @@ SimplexState::IterateResult SimplexState::Iterate(bool phase1) {
   const std::size_t bland_threshold = 50 * (m + width);
   const std::size_t max_iterations = 200 * (m + width) + 1000;
 
+  const bool early_stop =
+      !phase1 && stop_above_ < std::numeric_limits<double>::infinity();
+
   std::vector<double> y(m);
   std::vector<double> d(m);
   for (std::size_t iterations = 0;; ++iterations) {
     if (iterations > max_iterations) return IterateResult::kStalled;
+    if (early_stop && CertifiedAboveTarget())
+      return IterateResult::kAboveTarget;
     const bool use_bland = iterations > bland_threshold;
 
     // y = c_B^T B^-1 (only rows with a costed basic column contribute).
@@ -356,6 +368,19 @@ bool SimplexState::BasicValuesFeasible() const {
   return true;
 }
 
+double SimplexState::BasicObjective() const {
+  const std::size_t n = form_.num_variables();
+  const std::vector<double>& c = form_.objective();
+  double objective = 0.0;
+  for (std::size_t r = 0; r < form_.num_rows(); ++r)
+    if (basis_[r] < n) objective += c[basis_[r]] * std::max(0.0, xb_[r]);
+  return objective;
+}
+
+bool SimplexState::CertifiedAboveTarget() const {
+  return BasicObjective() > stop_above_ && BasicValuesFeasible();
+}
+
 bool SimplexState::WarmSolve() {
   if (!ApplyPendingColumnUpdates()) return false;
   ComputeBasicValues();
@@ -373,6 +398,12 @@ bool SimplexState::WarmSolve() {
   if (result == IterateResult::kUnbounded) {
     solution_ = Solution{SolveStatus::kUnbounded, 0.0, {}};
     state_valid_ = false;
+    return true;
+  }
+  if (result == IterateResult::kAboveTarget) {
+    // Iterate certified this basis (BasicValuesFeasible) before stopping.
+    ExtractSolution();
+    stopped_above_ = true;
     return true;
   }
   // Iterate's ratio test tolerates kEps-scale drift; certify the optimum
@@ -470,6 +501,12 @@ void SimplexState::ColdSolve() {
     state_valid_ = false;
     return;
   }
+  if (phase2 == IterateResult::kAboveTarget) {
+    ExtractSolution();
+    stopped_above_ = true;
+    state_valid_ = true;
+    return;
+  }
   if (!BasicValuesFeasible()) {
     // Degenerate pivoting drifted a basic value out of tolerance: rebuild
     // with the dense executable spec rather than report an uncertified
@@ -509,6 +546,7 @@ const Solution& SimplexState::Solve() {
   if (solution_valid_ && !dirty_) return solution_;
   TSF_TRACE_SCOPE("lp", "Solve");
   ++stats_.solves;
+  stopped_above_ = false;
   bool done = false;
   if (state_valid_) {
     done = WarmSolve();
@@ -519,8 +557,22 @@ const Solution& SimplexState::Solve() {
     ColdSolve();
   }
   dirty_ = false;
-  solution_valid_ = true;
+  // A point that stopped above the target is feasible, not optimal: the
+  // next Solve() must resume phase 2 instead of returning it.
+  solution_valid_ = !stopped_above_;
   return solution_;
+}
+
+bool SimplexState::ObjectiveExceeds(double target) {
+  TSF_CHECK(!std::isnan(target));
+  if (!solution_valid_ || dirty_) {
+    stop_above_ = target;
+    Solve();
+    stop_above_ = std::numeric_limits<double>::infinity();
+    if (stopped_above_) return true;
+  }
+  if (solution_.status == SolveStatus::kUnbounded) return true;
+  return solution_.optimal() && solution_.objective > target;
 }
 
 }  // namespace tsf::lp

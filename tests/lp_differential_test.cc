@@ -2,7 +2,9 @@
 // the dense tableau solver (lp/simplex.h), which serves as the executable
 // spec. Randomized programs — feasible, infeasible, unbounded, and
 // degenerate — must agree on status, and on the objective to 1e-9, both on
-// cold solves and after chains of shape-preserving mutations re-solved warm.
+// cold solves and after chains of shape-preserving mutations (objective
+// coefficients included) re-solved warm. The early-stop query
+// ObjectiveExceeds must answer exactly "dense optimum > target".
 
 #include <cmath>
 #include <cstddef>
@@ -187,6 +189,154 @@ TEST(LpDifferentialTest, WarmResolveMatchesDenseAcrossMutationChains) {
   // The whole point of the engine: a healthy share of re-solves must take
   // the warm path (rhs-only and relaxation-only steps always qualify).
   EXPECT_GT(warm_total, 200u);
+}
+
+TEST(LpDifferentialTest, ObjectiveMutationChainsResolveWarm) {
+  // Costs are not part of B: an objective change keeps the basis primal
+  // feasible, so every re-solve from a valid state must stay warm.
+  Rng rng(5517);
+  std::uint64_t warm_total = 0;
+  std::uint64_t resolves = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    RandomProgram program = MakeRandomProgram(rng, true);
+    const std::size_t n = program.form.num_variables();
+    std::vector<std::pair<std::size_t, std::size_t>> slots = program.slots;
+    SimplexState state(std::move(program.form));
+    state.Solve();
+    for (int step = 0; step < 6; ++step) {
+      const bool valid_before = state.Solve().status == SolveStatus::kOptimal;
+      const std::uint64_t cold_before = state.stats().cold_solves;
+      const int changes = static_cast<int>(rng.Int(1, 2));
+      for (int c = 0; c < changes; ++c)
+        state.SetObjectiveCoefficient(rng.Below(n),
+                                      static_cast<double>(rng.Int(-3, 3)));
+      if (rng.Chance(0.3)) {  // mixed chains: costs and a coefficient
+        const auto [row, variable] = slots[rng.Below(slots.size())];
+        state.SetCoefficient(row, variable,
+                             static_cast<double>(rng.Int(-3, 3)));
+      }
+      const Solution dense = state.form().ToDenseProblem().Solve();
+      const Solution& revised = state.Solve();
+      ExpectAgreement(dense, revised, "objective chain");
+      if (dense.status == SolveStatus::kOptimal)
+        ExpectFeasible(state.form(), revised);
+      ++resolves;
+      if (valid_before && state.stats().cold_solves == cold_before)
+        ++warm_total;
+    }
+  }
+  EXPECT_GT(warm_total, resolves / 2);
+}
+
+// The early-stop query must answer "dense optimum > target" — on cold and
+// warm solves, degenerate programs included, and false for a target equal
+// to the optimum — and a Solve() after a true answer must finish at the
+// dense optimum.
+TEST(LpDifferentialTest, ObjectiveExceedsMatchesDenseOptimum) {
+  Rng rng(6620);
+  int exceeded = 0, not_exceeded = 0, unbounded = 0, stops = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    RandomProgram program = MakeRandomProgram(rng, true);
+    const std::size_t n = program.form.num_variables();
+    SimplexState base(std::move(program.form));
+    base.Solve();
+    if (rng.Chance(0.5))  // warm: mutate costs after a solve
+      base.SetObjectiveCoefficient(rng.Below(n),
+                                   static_cast<double>(rng.Int(-3, 3)));
+    const Solution dense = base.form().ToDenseProblem().Solve();
+    if (dense.status == SolveStatus::kUnbounded) {
+      SimplexState query = base;
+      EXPECT_TRUE(query.ObjectiveExceeds(1e12)) << "trial " << trial;
+      ++unbounded;
+      continue;
+    }
+    if (dense.status != SolveStatus::kOptimal) continue;
+    const double scale = std::max(1.0, std::abs(dense.objective));
+    // The two solvers' optima may differ in the last bits, so a target AT
+    // the optimum is the revised path's own optimum (the answer must be
+    // false); the others sit clear of the dense optimum.
+    const double own_optimum = SimplexState(base).Solve().objective;
+    for (const double target :
+         {dense.objective - 1.0, dense.objective - kTol * scale * 10,
+          own_optimum, dense.objective + kTol * scale * 10}) {
+      SimplexState query = base;
+      const bool answer = query.ObjectiveExceeds(target);
+      EXPECT_EQ(answer, target != own_optimum && dense.objective > target)
+          << "trial " << trial << " target " << target << " optimum "
+          << dense.objective;
+      (answer ? exceeded : not_exceeded)++;
+      const std::uint64_t solves = query.stats().solves;
+      const Solution& finished = query.Solve();
+      ExpectAgreement(dense, finished, "after early-stop query");
+      ExpectFeasible(query.form(), finished);
+      // A false answer leaves the optimum cached; a true one may have
+      // stopped short and resumes from the stopping point.
+      if (!answer) {
+        EXPECT_EQ(query.stats().solves, solves);
+      }
+      if (query.stats().solves > solves) ++stops;
+    }
+  }
+  EXPECT_GT(exceeded, 100);
+  EXPECT_GT(not_exceeded, 100);
+  EXPECT_GT(unbounded, 5);
+  EXPECT_GT(stops, 20);  // queries really stopped before the optimum
+}
+
+TEST(LpDifferentialTest, ObjectiveExceedsStopsOnDegenerateTies) {
+  // max x0 + x1 over duplicated rows (degenerate vertex at the optimum):
+  // x0 + x1 <= 4 twice, x0 <= 3, x1 <= 3. Optimum 4.
+  StandardForm form(2);
+  form.AddRow({{0, 1.0}, {1, 1.0}}, Relation::kLessEqual, 4.0);
+  form.AddRow({{0, 1.0}, {1, 1.0}}, Relation::kLessEqual, 4.0);
+  form.AddRow({{0, 1.0}}, Relation::kLessEqual, 3.0);
+  form.AddRow({{1, 1.0}}, Relation::kLessEqual, 3.0);
+  form.SetObjectiveCoefficient(0, 1.0);
+  form.SetObjectiveCoefficient(1, 1.0);
+  form.Finalize();
+  SimplexState state(std::move(form));
+  const Solution dense = state.form().ToDenseProblem().Solve();
+  ASSERT_EQ(dense.status, SolveStatus::kOptimal);
+  ASSERT_NEAR(dense.objective, 4.0, kTol);
+
+  SimplexState stop = state;
+  EXPECT_TRUE(stop.ObjectiveExceeds(2.0));  // x0 = 3 already beats 2
+  EXPECT_FALSE(state.ObjectiveExceeds(4.0));  // the optimum, not above it
+  EXPECT_NEAR(state.Solve().objective, 4.0, kTol);
+  EXPECT_NEAR(stop.Solve().objective, 4.0, kTol);
+  EXPECT_EQ(stop.stats().solves, 2u);  // the stop, then the resumed solve
+  EXPECT_EQ(stop.stats().cold_solves, 1u);  // resumed warm
+
+  // Warm query: a cost change re-prices phase 2 from the old optimum.
+  state.SetObjectiveCoefficient(1, 2.0);  // optimum x = (1, 3): 7
+  EXPECT_TRUE(state.ObjectiveExceeds(6.5));
+  EXPECT_FALSE(SimplexState(state).ObjectiveExceeds(7.0));
+  EXPECT_NEAR(state.Solve().objective, 7.0, kTol);
+  EXPECT_EQ(state.stats().cold_solves, 1u);
+}
+
+TEST(LpDifferentialTest, ObjectiveExceedsOnUnboundedAndInfeasiblePrograms) {
+  StandardForm form(2);
+  form.AddRow({{0, 1.0}, {1, -1.0}}, Relation::kLessEqual, 1.0);
+  const std::size_t cap = form.AddRow({{1, 1.0}}, Relation::kLessEqual, 5.0);
+  form.SetObjectiveCoefficient(0, 1.0);
+  form.Finalize();
+  SimplexState state(std::move(form));
+  EXPECT_FALSE(state.ObjectiveExceeds(6.0));  // optimum x = (6, 5): 6
+  EXPECT_TRUE(state.ObjectiveExceeds(5.5));
+  // Dropping x1's cap makes the program unbounded; the warm query says so.
+  state.SetCoefficient(cap, 1, 0.0);
+  EXPECT_TRUE(state.ObjectiveExceeds(1e12));
+  EXPECT_EQ(state.Solve().status, SolveStatus::kUnbounded);
+
+  StandardForm infeasible(1);
+  infeasible.AddRow({{0, 1.0}}, Relation::kLessEqual, 1.0);
+  infeasible.AddRow({{0, 1.0}}, Relation::kGreaterEqual, 2.0);
+  infeasible.SetObjectiveCoefficient(0, 1.0);
+  infeasible.Finalize();
+  SimplexState none(std::move(infeasible));
+  EXPECT_FALSE(none.ObjectiveExceeds(-1e12));
+  EXPECT_EQ(none.Solve().status, SolveStatus::kInfeasible);
 }
 
 TEST(LpDifferentialTest, FreezeProbeShapedMutationsStayWarm) {

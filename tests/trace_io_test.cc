@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <ostream>
 
 #include "sim/des.h"
 #include "trace/google.h"
@@ -101,6 +102,13 @@ struct BadInputCase {
   const char* expected_error;
 };
 
+// Without a printer gtest dumps the struct's raw bytes -- the addresses of its
+// string literals -- into the test listing, so the ctest names discovered from
+// it would change with address-space randomisation on every build. Printing
+// the case name keeps them stable: CMake's gtest discovery turns
+// ".../<index>  # GetParam() = <name>" into ".../<name>".
+void PrintTo(const BadInputCase& c, std::ostream* os) { *os << c.name; }
+
 class WorkloadIoBadInput : public ::testing::TestWithParam<BadInputCase> {};
 
 TEST_P(WorkloadIoBadInput, IsRejectedWithDiagnostic) {
@@ -142,10 +150,7 @@ INSTANTIATE_TEST_SUITE_P(
                      "resources 1\nmachine 4 attrs -\n"
                      "job a arrival 0 weight 1 demand 1 constraint sometimes 1\n"
                      "runtimes 1\n",
-                     "unknown constraint kind"}),
-    [](const ::testing::TestParamInfo<BadInputCase>& info) {
-      return info.param.name;
-    });
+                     "unknown constraint kind"}));
 
 TEST(WorkloadIo, LoadedWorkloadSimulates) {
   // End-to-end: text -> workload -> DES.
