@@ -19,6 +19,8 @@
 #include <vector>
 
 #include "chaos/scenario.h"
+#include "load/driver.h"
+#include "load/stream.h"
 
 namespace tsf::chaos {
 namespace {
@@ -37,8 +39,56 @@ std::string HashHex(std::uint64_t hash) {
   return buffer;
 }
 
+// The overload regime of the Mesos master: a rate-2 Poisson stream on the
+// 60-machine load fleet for 300 virtual seconds, well past the saturation
+// knee, so hundreds of frameworks sit in a long decline backlog.
+load::DriverConfig OverloadConfig(std::uint64_t seed) {
+  load::DriverConfig config;
+  config.stream.rate = 2.0;
+  config.stream.duration = 300.0;
+  config.stream.seed = seed;
+  config.num_machines = 60;
+  return config;
+}
+
+// One of every Mesos fault kind, struck while the backlog is deep. Each
+// framework target is the largest job arriving in the 20 s before its
+// fault: registered by then, and (on seed 1) still launching tasks until
+// the backlog drains long after the arrival window closes.
+std::vector<mesos::Fault> OverloadFaults(const load::DriverConfig& config) {
+  const load::GeneratedStream stream =
+      load::GenerateArrivals(config.stream, config.num_machines);
+  auto backlog = [&](double time) {
+    std::size_t largest = 0;
+    long most = -1;
+    for (std::size_t j = 0; j < stream.jobs.size(); ++j) {
+      const JobSpec& spec = stream.jobs[j].spec;
+      if (spec.arrival_time < time - 20.0 || spec.arrival_time >= time - 1.0)
+        continue;
+      if (spec.num_tasks > most) {
+        most = spec.num_tasks;
+        largest = j;
+      }
+    }
+    return largest;
+  };
+  using Kind = mesos::Fault::Kind;
+  const std::size_t disconnected = backlog(150.0);
+  return {{60.0, Kind::kOfferDrop, backlog(60.0), 3.0},
+          {80.0, Kind::kSlaveCrash, 7, 0.0},
+          {95.0, Kind::kTaskFailure, 12, 0.0},
+          {110.0, Kind::kOfferRescind, backlog(110.0), 0.0},
+          {120.0, Kind::kSlaveRestart, 7, 0.0},
+          {130.0, Kind::kDeclineTimeout, backlog(130.0), 15.0},
+          {150.0, Kind::kFrameworkDisconnect, disconnected, 0.0},
+          {175.0, Kind::kFrameworkReregister, disconnected, 0.0},
+          {190.0, Kind::kTaskFailure, 3, 0.0},
+          {200.0, Kind::kSlaveCrash, 20, 0.0},
+          {230.0, Kind::kSlaveRestart, 20, 0.0}};
+}
+
 // key -> hash, where key is "des <policy> seed=<s>", "des-collapsed
-// <policy> seed=<s>", or "mesos seed=<s>".
+// <policy> seed=<s>", "mesos seed=<s>", or "mesos-load <lane> seed=<s>".
 std::map<std::string, std::string> ComputeHashes() {
   std::map<std::string, std::string> hashes;
   for (const std::uint64_t seed : kSeeds) {
@@ -78,6 +128,24 @@ std::map<std::string, std::string> ComputeHashes() {
         << "mesos seed " << seed << ": " << ToString(mesos.violations.front());
     hashes["mesos seed=" + std::to_string(seed)] = HashHex(mesos.stream_hash);
   }
+  // Overload lanes through the load driver: the Mesos placement stream of
+  // a long decline backlog, fault-free under both allocators and with one
+  // of every fault kind under TSF.
+  for (const std::uint64_t seed : {1, 2}) {
+    const load::DriverConfig config = OverloadConfig(seed);
+    for (const mesos::AllocatorPolicy policy :
+         {mesos::AllocatorPolicy::kTsf, mesos::AllocatorPolicy::kDrf}) {
+      const load::LoadReport report = load::RunMesosLoad(config, policy);
+      EXPECT_EQ(report.placements, report.total_tasks);
+      hashes["mesos-load " + report.policy + " seed=" +
+             std::to_string(seed)] = HashHex(report.placement_hash);
+    }
+  }
+  const load::DriverConfig config = OverloadConfig(1);
+  const load::LoadReport faulted = load::RunMesosLoad(
+      config, mesos::AllocatorPolicy::kTsf, OverloadFaults(config));
+  EXPECT_GT(faulted.requeues, 0u);
+  hashes["mesos-load TSF+faults seed=1"] = HashHex(faulted.placement_hash);
   return hashes;
 }
 
