@@ -20,6 +20,10 @@ namespace {
 // set it before the run and reset it after, never concurrently with one.
 std::atomic<InjectedBug> g_injected_bug{InjectedBug::kNone};
 
+// FrameworkState::scan_from when the framework has no cached decline: its
+// next probe scans every slave.
+constexpr std::size_t kFullScan = std::numeric_limits<std::size_t>::max();
+
 struct Event {
   double time = 0.0;
   std::uint64_t seq = 0;
@@ -57,6 +61,10 @@ struct FrameworkState {
   long pending_drops = 0;
   long pending_rescinds = 0;
   double blackout_until = -std::numeric_limits<double>::infinity();
+  // Cached decline: the grown-slave log's length at this framework's last
+  // decline (kFullScan if none). Every allowed slave outside
+  // grown[scan_from..] is known not to fit (see run_allocation).
+  std::size_t scan_from = kFullScan;
   FrameworkStats stats;
 #if defined(TSF_TELEMETRY)
   // Per-framework offer outcome counters (mesos.offers.<name>.accepted /
@@ -73,9 +81,6 @@ struct FrameworkState {
   std::deque<double> ttp_pending_since;
 #endif
 
-  bool Active() const {
-    return registered && finished < spec.num_tasks;
-  }
   bool HasPending() const { return launched < spec.num_tasks; }
   void UpdateKey() { key = static_cast<double>(running) * coeff; }
 };
@@ -238,6 +243,21 @@ SimOutcome RunCluster(const ClusterConfig& config,
     for (std::size_t s = 0; s < num_slaves; ++s)
       if (fw.allowed[s]) ++contention[s];
 
+  // The grown-slave log: a slave id is appended each time its free
+  // capacity increases (a task finish, including a leaked finish on a down
+  // slave, or a task failure). A crash or restart instead resets every
+  // framework to a full scan and empties the log.
+  std::vector<std::uint32_t> grown;
+  auto forget_declines = [&] {
+    for (FrameworkState& fw : frameworks) fw.scan_from = kFullScan;
+    grown.clear();
+  };
+  // Frameworks that have registered and not yet finished, in registration
+  // order (a disconnected one stays listed); finished ones are compacted
+  // away when the next cycle is built.
+  std::vector<std::size_t> live;
+  live.reserve(num_frameworks);
+
   std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
   std::uint64_t seq = 0;
   for (std::size_t f = 0; f < num_frameworks; ++f)
@@ -271,6 +291,53 @@ SimOutcome RunCluster(const ClusterConfig& config,
     outcome.timeline.push_back(std::move(point));
   };
 
+  // Least-contended fitting slave for `fw` (see `contention`), or
+  // num_slaves if none fits. Down slaves are never offered, and neither are
+  // slaves whose free capacity is exactly zero — an offer of nothing can
+  // only be declined (and pre-dated the demand-positivity check, could even
+  // be accepted). With a cached decline only the slaves logged since it are
+  // candidates; the log may repeat a slave and is not in index order, so
+  // ties on contention go to the lower index explicitly, which is the
+  // choice an index-order scan with a strict `<` makes.
+  auto probe = [&](const FrameworkState& fw) {
+    std::size_t best = num_slaves;
+    auto consider = [&](std::size_t s) {
+      if (!fw.allowed[s]) return;
+      ++stats.probes;
+      if (!up[s]) {
+        ++stats.down_slave_skips;
+        return;
+      }
+      if (free[s].IsZero()) {
+        ++stats.zero_slave_skips;
+        return;
+      }
+      if (!free[s].Fits(fw.spec.demand)) return;
+      if (best == num_slaves || contention[s] < contention[best] ||
+          (contention[s] == contention[best] && s < best))
+        best = s;
+    };
+    // A log range at least as long as the fleet costs more than a scan.
+    if (fw.scan_from == kFullScan ||
+        grown.size() - fw.scan_from >= num_slaves) {
+      ++stats.full_scans;
+      for (std::size_t s = 0; s < num_slaves; ++s) consider(s);
+    } else {
+      for (std::size_t k = fw.scan_from; k < grown.size(); ++k)
+        consider(grown[k]);
+    }
+    return best;
+  };
+  // The framework implicitly declines: nothing it may use fits.
+  auto decline = [&](FrameworkState& fw) {
+    fw.scan_from = grown.size();
+    ++stats.offers_declined;
+    TSF_COUNTER_ADD("mesos.offers.declined", 1);
+#if defined(TSF_TELEMETRY)
+    if (telemetry::Enabled()) fw.declined_counter->Add(1);
+#endif
+  };
+
   // The master's allocation cycle, mirroring the mesos-master + paper's
   // online algorithm: repeatedly offer free resources to the framework with
   // the lowest share that can actually launch a task, launch *one* task,
@@ -279,6 +346,17 @@ SimOutcome RunCluster(const ClusterConfig& config,
   // launch costs O(log frameworks) selection plus the slave probe. Within
   // one cycle free capacity only shrinks, so a framework with no fitting
   // whitelisted slave is dropped from the heap for the rest of the cycle.
+  //
+  // A decline holds across cycles until a slave the framework may use gains
+  // capacity (an exact, virtual-time Mesos decline filter). Invariant: no
+  // allowed slave outside grown[scan_from..] fits the framework's demand.
+  // A decline sets scan_from to the log's end, and it stays true as capacity
+  // shrinks within a cycle and as every later growth is logged; a launch
+  // leaves scan_from alone. So a probe need only visit the logged slaves,
+  // and a framework none of whose logged slaves fits when the cycle is
+  // built would decline when popped: that decline is counted on the spot
+  // and the framework never enters the heap. The heap pops in (key, id)
+  // order, so leaving it out changes no other framework's turn.
   RankHeap offer_heap;
   auto run_allocation = [&](double now) {
     TSF_TRACE_SCOPE("mesos", "offer_round");
@@ -295,11 +373,24 @@ SimOutcome RunCluster(const ClusterConfig& config,
     {
       TSF_TRACE_SCOPE("mesos", "allocator_sort");
       offer_heap.Clear();
-      offer_heap.Reserve(num_frameworks);
-      for (std::size_t f = 0; f < num_frameworks; ++f) {
-        const FrameworkState& fw = frameworks[f];
-        if (fw.Active() && fw.HasPending()) offer_heap.PushUnordered(fw.key, f);
+      std::size_t kept = 0;
+      for (const std::size_t f : live) {
+        FrameworkState& fw = frameworks[f];
+        if (fw.finished == fw.spec.num_tasks) continue;  // done for good
+        live[kept++] = f;
+        if (!fw.registered || !fw.HasPending()) continue;
+        // Drops, rescinds and blackouts intercept the offer before any
+        // probe, so those frameworks take their turn in the heap.
+        if (fw.scan_from != kFullScan && fw.pending_drops == 0 &&
+            fw.pending_rescinds == 0 && !(now < fw.blackout_until) &&
+            probe(fw) == num_slaves) {
+          ++stats.round_start_declines;
+          decline(fw);
+          continue;
+        }
+        offer_heap.PushUnordered(fw.key, f);
       }
+      live.resize(kept);
       offer_heap.Heapify();
     }
 
@@ -331,32 +422,9 @@ SimOutcome RunCluster(const ClusterConfig& config,
         TSF_COUNTER_ADD("chaos.mesos.blackout_declines", 1);
         continue;  // out for the rest of this cycle
       }
-      // Least-contended fitting slave for this framework (see `contention`).
-      // Down slaves are never offered, and neither are slaves whose free
-      // capacity is exactly zero — an offer of nothing can only be declined
-      // (and pre-dated the demand-positivity check, could even be accepted).
-      std::size_t slave = num_slaves;
-      for (std::size_t s = 0; s < num_slaves; ++s) {
-        if (!fw.allowed[s]) continue;
-        ++stats.probes;
-        if (!up[s]) {
-          ++stats.down_slave_skips;
-          continue;
-        }
-        if (free[s].IsZero()) {
-          ++stats.zero_slave_skips;
-          continue;
-        }
-        if (!free[s].Fits(fw.spec.demand)) continue;
-        if (slave == num_slaves || contention[s] < contention[slave]) slave = s;
-      }
+      const std::size_t slave = probe(fw);
       if (slave == num_slaves) {
-        // The framework implicitly declines: nothing it may use fits.
-        ++stats.offers_declined;
-        TSF_COUNTER_ADD("mesos.offers.declined", 1);
-#if defined(TSF_TELEMETRY)
-        if (telemetry::Enabled()) fw.declined_counter->Add(1);
-#endif
+        decline(fw);
         continue;  // out for the rest of this cycle
       }
 
@@ -420,6 +488,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
       switch (event.kind) {
         case Event::Kind::kRegister:
           frameworks[event.framework].registered = true;
+          live.push_back(event.framework);
 #if defined(TSF_TELEMETRY)
           if (telemetry::Enabled()) {
             FrameworkState& rfw = frameworks[event.framework];
@@ -448,6 +517,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
             on.pop_back();
           }
           free[event.slave] += fw.spec.demand;
+          grown.push_back(static_cast<std::uint32_t>(event.slave));
           --fw.running;
           fw.UpdateKey();
           ++fw.finished;
@@ -475,7 +545,9 @@ SimOutcome RunCluster(const ClusterConfig& config,
                   injected_bug == InjectedBug::kLeakTaskOnCrash && !on.empty()
                       ? 1
                       : 0;
-              // Kill most-recent-first (matches the DES stream order).
+              // Kill from the back of the running list (the DES kills in the
+              // same order; see Fault::Kind::kTaskFailure for what that
+              // order is).
               for (std::size_t r = on.size(); r-- > keep;) {
                 const RunningTask rt = on[r];
                 cancelled[rt.task] = 1;
@@ -492,6 +564,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
               on.clear();
               up[s] = false;
               free[s] = ResourceVector(resources);
+              forget_declines();
               emit(MasterEvent::Kind::kCrash, now, 0, 0, s);
               TSF_COUNTER_ADD("chaos.mesos.slave_crashes", 1);
               state_changed = true;
@@ -503,15 +576,17 @@ SimOutcome RunCluster(const ClusterConfig& config,
               TSF_CHECK(!up[s]) << "restart of up slave " << s;
               up[s] = true;
               free[s] = config.slaves[s].capacity;
+              forget_declines();
               emit(MasterEvent::Kind::kRestart, now, 0, 0, s);
               TSF_COUNTER_ADD("chaos.mesos.slave_restarts", 1);
               state_changed = true;
               break;
             }
             case Fault::Kind::kTaskFailure: {
-              // Fails the most recently launched task on the slave; a
-              // no-op on a down or idle slave (the plan generator does not
-              // coordinate failure targets with the schedule).
+              // Fails the task at the back of the slave's running list (see
+              // Fault::Kind::kTaskFailure); a no-op on a down or idle slave
+              // (the plan generator does not coordinate failure targets
+              // with the schedule).
               const std::size_t s = fault.target;
               TSF_CHECK_LT(s, num_slaves);
               if (!up[s] || on_slave[s].empty()) {
@@ -530,6 +605,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
                 vfw.ttp_pending_since.push_back(now);
 #endif
               free[s] += vfw.spec.demand;
+              grown.push_back(static_cast<std::uint32_t>(s));
               emit(MasterEvent::Kind::kFail, now, rt.framework, rt.task, s);
               TSF_COUNTER_ADD("chaos.mesos.task_failures", 1);
               state_changed = true;

@@ -80,13 +80,22 @@ struct FrameworkStats {
 // telemetry build flag needed — regression tests assert on these).
 struct AllocatorStats {
   long rounds = 0;            // allocation cycles run
-  long probes = 0;            // slave fit probes across all cycles
+  long probes = 0;            // slave fit probes made across all cycles (a
+                              // framework with a cached decline probes only
+                              // the slaves that gained capacity since)
+  long full_scans = 0;        // probe passes over a framework's whole
+                              // whitelist (no cached decline, or more
+                              // logged slaves than the fleet has)
   long zero_slave_skips = 0;  // probes short-circuited: free capacity is
                               // exactly zero (pre-fix these emitted empty
                               // offers the framework could only decline)
   long down_slave_skips = 0;  // probes short-circuited: slave is down
   long offers_accepted = 0;
   long offers_declined = 0;   // nothing the framework may use fits
+  long round_start_declines = 0;  // of offers_declined: decided when the
+                                  // cycle is built (no slave logged since
+                                  // the framework's last decline fits), so
+                                  // the framework never entered the heap
   long offers_dropped = 0;    // master dropped the offer (injected fault)
   long offers_rescinded = 0;  // master rescinded the offer (injected fault)
   long blackout_declines = 0; // framework inside a decline-timeout window
@@ -106,12 +115,18 @@ struct SimOutcome {
 // with the DES (sim/des.h).
 struct Fault {
   enum class Kind {
-    kSlaveCrash,           // target = slave; running tasks are killed and
-                           // re-enter the pending pool (relaunched elsewhere)
+    kSlaveCrash,           // target = slave; running tasks are killed, from
+                           // the back of the running list to its front
+                           // (see kTaskFailure), and re-enter the pending
+                           // pool (relaunched elsewhere)
     kSlaveRestart,         // target = slave; comes back empty
-    kTaskFailure,          // target = slave; most recently launched task on
-                           // it fails and re-enters the pending pool (no-op
-                           // on a down or idle slave)
+    kTaskFailure,          // target = slave; the task at the back of the
+                           // slave's running list fails and re-enters the
+                           // pending pool (no-op on a down or idle slave).
+                           // The list is in launch order except that a
+                           // finish moves the last entry into the finished
+                           // task's place, so after an out-of-order finish
+                           // the victim need not be the latest launch.
     kOfferDrop,            // target = framework; master drops its next
                            // max(1, param) offers, one per allocation cycle
     kOfferRescind,         // target = framework; next offer is rescinded

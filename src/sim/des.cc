@@ -540,7 +540,8 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
         case SimFault::Kind::kMachineCrash: {
           TSF_CHECK(machine_up[m]) << "crash of already-down machine " << m;
           // Kill order is immaterial for state (frees commute) but the
-          // stream records most-recent-first for determinism.
+          // stream records it, so it is fixed: from the back of the running
+          // list to its front (see SimFault::Kind::kTaskFailure).
           std::vector<std::uint32_t>& on = running_on[m];
           for (std::size_t r = on.size(); r-- > 0;) {
             emit(SimStreamEvent::Kind::kKill, now, result.tasks[on[r]].job,
@@ -564,9 +565,10 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
           break;
         }
         case SimFault::Kind::kTaskFailure: {
-          // Fails the most recently placed task on the machine; a no-op on
-          // a down or idle machine (the plan generator does not coordinate
-          // failure targets with the schedule).
+          // Fails the task at the back of the machine's running list (see
+          // SimFault::Kind::kTaskFailure); a no-op on a down or idle
+          // machine (the plan generator does not coordinate failure
+          // targets with the schedule).
           if (!machine_up[m] || running_on[m].empty()) {
             TSF_COUNTER_ADD("chaos.des.task_failures_skipped", 1);
             break;

@@ -66,11 +66,17 @@ struct SimResult {
 // substrate (mesos/mesos.h).
 struct SimFault {
   enum class Kind {
-    kMachineCrash,    // machine goes down; its running tasks are killed and
-                      // re-enter the pending pool (same task identity/runtime)
+    kMachineCrash,    // machine goes down; its running tasks are killed,
+                      // from the back of the running list to its front (see
+                      // kTaskFailure), and re-enter the pending pool (same
+                      // task identity/runtime)
     kMachineRestart,  // machine comes back, empty
-    kTaskFailure,     // most recently placed task on the machine fails and
-                      // re-enters the pending pool (no-op if none running)
+    kTaskFailure,     // the task at the back of the machine's running list
+                      // fails and re-enters the pending pool (no-op if
+                      // none running). The list is in placement order
+                      // except that a finish moves the last entry into the
+                      // finished task's place, so after an out-of-order
+                      // finish the victim need not be the latest placement.
   };
   double time = 0.0;
   Kind kind = Kind::kMachineCrash;
