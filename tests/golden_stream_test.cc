@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -18,9 +19,12 @@
 #include <string>
 #include <vector>
 
+#include "chaos/invariants.h"
 #include "chaos/scenario.h"
 #include "load/driver.h"
 #include "load/stream.h"
+#include "sim/des.h"
+#include "trace/google.h"
 
 namespace tsf::chaos {
 namespace {
@@ -87,8 +91,66 @@ std::vector<mesos::Fault> OverloadFaults(const load::DriverConfig& config) {
           {230.0, Kind::kSlaveRestart, 20, 0.0}};
 }
 
+// FNV-1a over the bytes of one 64-bit value.
+std::uint64_t FnvMix(std::uint64_t hash, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (value >> (8 * byte)) & 0xffU;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::uint64_t FnvMix(std::uint64_t hash, double value) {
+  return FnvMix(hash, std::bit_cast<std::uint64_t>(value));
+}
+
+// Everything trace synthesis decides: each machine's capacity and
+// attributes, and each job's constraint, demand, arrival and task runtimes.
+std::uint64_t HashWorkload(const Workload& workload) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const Machine& machine : workload.cluster.machines()) {
+    for (std::size_t r = 0; r < machine.capacity.dimension(); ++r)
+      hash = FnvMix(hash, machine.capacity[r]);
+    hash = FnvMix(hash, std::uint64_t{machine.attributes.size()});
+    for (const AttributeId id : machine.attributes.ids())
+      hash = FnvMix(hash, std::uint64_t{id});
+  }
+  for (const SimJob& job : workload.jobs) {
+    const Constraint& constraint = job.spec.constraint;
+    hash = FnvMix(hash, static_cast<std::uint64_t>(constraint.kind()));
+    hash = FnvMix(hash, std::uint64_t{constraint.required_attributes().size()});
+    for (const AttributeId id : constraint.required_attributes().ids())
+      hash = FnvMix(hash, std::uint64_t{id});
+    hash = FnvMix(hash, std::uint64_t{constraint.machine_list().size()});
+    for (const MachineId m : constraint.machine_list())
+      hash = FnvMix(hash, std::uint64_t{m});
+    for (std::size_t r = 0; r < job.spec.demand.dimension(); ++r)
+      hash = FnvMix(hash, job.spec.demand[r]);
+    hash = FnvMix(hash, job.spec.arrival_time);
+    hash = FnvMix(hash, static_cast<std::uint64_t>(job.spec.num_tasks));
+    for (const double runtime : job.task_runtimes)
+      hash = FnvMix(hash, runtime);
+  }
+  return hash;
+}
+
+// The paper's workload shape (1,000 machines with i.i.d. attributes, ~4,500
+// jobs whose constraints are attribute requirements), with task counts cut
+// to a tenth for tier-1 time and runtimes stretched so the fleet still
+// queues and DRF, TSF and FIFO place differently. Nearly every machine is
+// its own class, so the DES runs its flat engine against hundreds of
+// distinct constraints.
+trace::GoogleTraceConfig ScaledPaperTrace() {
+  trace::GoogleTraceConfig config;
+  config.seed = 1;
+  config.job_size_scale = 0.1;
+  config.runtime_scale = 20.0;
+  return config;
+}
+
 // key -> hash, where key is "des <policy> seed=<s>", "des-collapsed
-// <policy> seed=<s>", "mesos seed=<s>", or "mesos-load <lane> seed=<s>".
+// <policy> seed=<s>", "des-trace <policy> seed=<s>", "mesos seed=<s>",
+// "mesos-load <lane> seed=<s>", or "trace <fleet> seed=<s>".
 std::map<std::string, std::string> ComputeHashes() {
   std::map<std::string, std::string> hashes;
   for (const std::uint64_t seed : kSeeds) {
@@ -146,6 +208,35 @@ std::map<std::string, std::string> ComputeHashes() {
       config, mesos::AllocatorPolicy::kTsf, OverloadFaults(config));
   EXPECT_GT(faulted.requeues, 0u);
   hashes["mesos-load TSF+faults seed=1"] = HashHex(faulted.placement_hash);
+
+  // Trace synthesis: the paper fleet (1,000 machines, i.i.d. attributes)
+  // and a 10k-machine fleet drawn from 8 attribute profiles.
+  for (const std::uint64_t seed : {1, 2}) {
+    trace::GoogleTraceConfig paper;
+    paper.seed = seed;
+    hashes["trace paper seed=" + std::to_string(seed)] =
+        HashHex(HashWorkload(trace::SynthesizeGoogleWorkload(paper)));
+  }
+  trace::GoogleTraceConfig profiled;
+  profiled.num_machines = 10000;
+  profiled.num_attribute_profiles = 8;
+  hashes["trace profiles=8 machines=10000 seed=1"] =
+      HashHex(HashWorkload(trace::SynthesizeGoogleWorkload(profiled)));
+
+  // Placement streams of the scaled paper trace on the flat DES engine.
+  const Workload paper_trace = trace::SynthesizeGoogleWorkload(ScaledPaperTrace());
+  EXPECT_GT(2 * MachineClassIndex::CountClasses(paper_trace.cluster),
+            paper_trace.cluster.num_machines())
+      << "the paper trace must stay on the flat engine";
+  for (const OnlinePolicy& policy :
+       {OnlinePolicy::Fifo(), OnlinePolicy::Drf(), OnlinePolicy::Tsf()}) {
+    std::vector<SimStreamEvent> stream;
+    SimOptions options;
+    options.stream = &stream;
+    Simulate(paper_trace, policy, SimCore::kIncremental, options);
+    hashes["des-trace " + policy.name + " seed=1"] =
+        HashHex(HashStream(ConvertDesStream(stream)));
+  }
   return hashes;
 }
 
