@@ -90,6 +90,7 @@ Cluster::Cluster(std::vector<Machine> machines) : machines_(std::move(machines))
         << "all machines must report the same resource types";
   }
   RecomputeTotal();
+  for (MachineId m = 0; m < machines_.size(); ++m) IndexAttributes(m);
 }
 
 MachineId Cluster::AddMachine(ResourceVector capacity, AttributeSet attributes,
@@ -102,6 +103,7 @@ MachineId Cluster::AddMachine(ResourceVector capacity, AttributeSet attributes,
   machine.capacity = std::move(capacity);
   machine.attributes = std::move(attributes);
   machines_.push_back(std::move(machine));
+  IndexAttributes(machines_.back().id);
   // Incremental total: appending accumulates in machine order, the exact
   // addition sequence RecomputeTotal would produce — bitwise-identical
   // normalization, without the O(machines^2) rescan that dominated
@@ -112,6 +114,14 @@ MachineId Cluster::AddMachine(ResourceVector capacity, AttributeSet attributes,
     total_ += machines_.back().capacity;
   }
   return machines_.back().id;
+}
+
+void Cluster::IndexAttributes(MachineId m) {
+  for (const AttributeId id : machines_[m].attributes.ids()) {
+    DynamicBitset& carriers = machines_with_attribute_[id];
+    carriers.Grow(m + 1);
+    carriers.Set(m);
+  }
 }
 
 void Cluster::RecomputeTotal() {
@@ -146,15 +156,36 @@ ResourceVector Cluster::NormalizedDemand(const ResourceVector& demand) const {
 }
 
 DynamicBitset Cluster::Eligibility(const Constraint& constraint) const {
-  DynamicBitset bits(machines_.size());
-  // Unconstrained jobs are common (Fig. 8a: ~20 % can run anywhere); skip
-  // the per-machine attribute probes for them.
-  if (constraint.kind() == Constraint::Kind::kNone) {
-    bits.SetAll();
-    return bits;
+  const std::size_t n = machines_.size();
+  DynamicBitset bits(n);
+  switch (constraint.kind()) {
+    case Constraint::Kind::kNone:
+      bits.SetAll();
+      break;
+    case Constraint::Kind::kRequireAttributes:
+      // An empty requirement allows every machine, as ContainsAll does.
+      bits.SetAll();
+      for (const AttributeId id : constraint.required_attributes().ids()) {
+        const auto it = machines_with_attribute_.find(id);
+        if (it == machines_with_attribute_.end()) return DynamicBitset(n);
+        bits.AndPrefix(it->second);
+      }
+      break;
+    case Constraint::Kind::kWhitelist:
+      // Listed ids past the last machine name no machine.
+      for (const MachineId m : constraint.machine_list()) {
+        if (m >= n) break;  // the list is sorted
+        bits.Set(m);
+      }
+      break;
+    case Constraint::Kind::kBlacklist:
+      bits.SetAll();
+      for (const MachineId m : constraint.machine_list()) {
+        if (m >= n) break;
+        bits.Reset(m);
+      }
+      break;
   }
-  for (const Machine& machine : machines_)
-    if (constraint.Allows(machine.id, machine.attributes)) bits.Set(machine.id);
   return bits;
 }
 

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/constraint.h"
@@ -70,13 +71,22 @@ class Cluster {
 
   // Eligibility bitset of a constraint over this cluster's machines: bit m
   // is set iff the constraint allows machine m (one row of Fig. 1's graph).
+  // Built from the attribute index in O(words) per required attribute, or
+  // O(list length) for a whitelist/blacklist — never a per-machine probe.
   DynamicBitset Eligibility(const Constraint& constraint) const;
 
  private:
   void RecomputeTotal();
+  // Adds machine m, the highest id indexed so far, to the attribute index.
+  void IndexAttributes(MachineId m);
 
   std::vector<Machine> machines_;
   ResourceVector total_;
+  // Attribute id -> machines carrying it. Kept current by the constructor
+  // and AddMachine; a bitset only spans up to its last carrier (later
+  // machines read as clear), so AddMachine touches only the new machine's
+  // attributes.
+  std::unordered_map<AttributeId, DynamicBitset> machines_with_attribute_;
 };
 
 // Machine equivalence classes: machines with identical (capacity, attribute

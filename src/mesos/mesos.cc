@@ -32,7 +32,8 @@ struct Event {
     kTaskFinish,
     kSample,
     kFault,  // framework field holds the index into RunOptions::faults
-    kNudge,  // re-run allocation (decline-timeout expiry), no state change
+    kNudge,  // re-run allocation (decline-timeout expiry, or a lost offer
+             // at the drain), no state change
   } kind = Kind::kRegister;
   std::size_t framework = 0;
   std::size_t slave = 0;
@@ -473,6 +474,9 @@ SimOutcome RunCluster(const ClusterConfig& config,
   if (config.sample_interval > 0.0)
     events.push(Event{0.0, seq++, Event::Kind::kSample, 0, 0});
 
+  // Offers dropped or rescinded up to the last drain nudge (see below).
+  long lost_offers_at_nudge = 0;
+
   // Events sharing a timestamp are applied as a batch before the allocator
   // runs, mirroring the mesos-master's batched allocation cycle. Without
   // this, four jobs submitted "at the same time" would be allocated one by
@@ -657,7 +661,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
           break;
         }
         case Event::Kind::kNudge:
-          state_changed = true;  // decline-timeout expired: re-offer
+          state_changed = true;  // re-offer
           break;
         case Event::Kind::kSample:
           sampled = true;
@@ -674,6 +678,27 @@ SimOutcome RunCluster(const ClusterConfig& config,
       if (work_remaining)
         events.push(Event{now + config.sample_interval, seq++,
                           Event::Kind::kSample, 0, 0});
+    }
+
+    // A dropped or rescinded offer returns to the allocator, but nothing
+    // re-runs the allocator for it. So when the queue drains (a pending
+    // sample never allocates) while a registered framework has pending
+    // tasks and offers were lost since the last such re-offer, re-offer at
+    // this instant; a framework that still cannot launch then ends the run.
+    // The re-offer waits for the drain instead of following each drop or
+    // rescind: a run that drains with work left would abort without it, so
+    // only such runs change, and every finishing run keeps its exact stream.
+    const long lost_offers = stats.offers_dropped + stats.offers_rescinded;
+    const bool drained =
+        events.empty() ||
+        (events.size() == 1 && events.top().kind == Event::Kind::kSample);
+    if (drained && lost_offers > lost_offers_at_nudge &&
+        std::any_of(frameworks.begin(), frameworks.end(),
+                    [](const FrameworkState& fw) {
+                      return fw.registered && fw.HasPending();
+                    })) {
+      lost_offers_at_nudge = lost_offers;
+      events.push(Event{now, seq++, Event::Kind::kNudge, 0, 0});
     }
   }
 

@@ -102,13 +102,6 @@ class EventQueue {
   std::vector<Event> events_;
 };
 
-// Structural equality; Constraint deliberately has no operator== of its own.
-bool SameConstraint(const Constraint& a, const Constraint& b) {
-  return a.kind() == b.kind() &&
-         a.required_attributes().ids() == b.required_attributes().ids() &&
-         a.machine_list() == b.machine_list();
-}
-
 // Machines grouped by identical normalized capacity vector. The Google
 // config mix has only a handful of distinct shapes, so the per-arrival
 // monopoly-count sweep (h_i over all machines, g_i over the eligible set)
@@ -244,24 +237,6 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
       return Scheduler(std::move(capacity), policy);
     }
   }();
-
-  // Workloads draw constraints from a small pool (a handful of attribute
-  // combos in the Google mix), so compile each distinct constraint once and
-  // reuse the bitset instead of probing every machine per arrival. The
-  // collapsed path interns through the EligibilityPool instead (hash-consed
-  // and shared with the scheduler's users — no per-job bitset copies).
-  std::vector<std::pair<const Constraint*, DynamicBitset>> eligibility_memo;
-  auto eligibility_for = [&](const Constraint& constraint) {
-    for (const auto& [cached, bits] : eligibility_memo)
-      if (SameConstraint(*cached, constraint)) {
-        TSF_COUNTER_ADD("des.eligibility_memo.hits", 1);
-        return bits;
-      }
-    TSF_COUNTER_ADD("des.eligibility_memo.misses", 1);
-    eligibility_memo.emplace_back(&constraint,
-                                  cluster.Eligibility(constraint));
-    return eligibility_memo.back().second;
-  };
 
   // Per-job simulation state.
   struct JobState {
@@ -452,7 +427,7 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
             spec.g += static_cast<double>(eligible_members) * tasks;
         }
       } else {
-        spec.eligible = eligibility_for(job.spec.constraint);
+        spec.eligible = cluster.Eligibility(job.spec.constraint);
         TSF_CHECK(spec.eligible.Any())
             << "job " << job.spec.name << " has no eligible machine";
         const bool fits_somewhere =

@@ -1,4 +1,4 @@
-// DynamicBitset: a fixed-size-at-construction bitset sized at run time.
+// DynamicBitset: a bitset sized at run time (at construction, or grown).
 //
 // Used for job→machine eligibility masks (thousands of machines per job),
 // where std::bitset's compile-time size does not fit and std::vector<bool>
@@ -40,6 +40,14 @@ class DynamicBitset {
   }
 
   void Assign(std::size_t i, bool value) { value ? Set(i) : Reset(i); }
+
+  // Grows to `size` bits; the new bits start clear. Amortized O(1) per added
+  // word, so a bitset grown one bit at a time is built in linear time.
+  void Grow(std::size_t size) {
+    TSF_DCHECK(size >= size_);
+    size_ = size;
+    words_.resize((size + 63) / 64, 0);
+  }
 
   void SetAll() {
     for (auto& w : words_) w = ~std::uint64_t{0};
@@ -87,6 +95,16 @@ class DynamicBitset {
   DynamicBitset& operator&=(const DynamicBitset& other) {
     TSF_DCHECK(size_ == other.size_);
     for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
+    return *this;
+  }
+
+  // this &= other, reading other's missing high bits as clear: ANDs in a
+  // bitset that is no longer than this one, as if grown to this size.
+  DynamicBitset& AndPrefix(const DynamicBitset& other) {
+    TSF_DCHECK(other.size_ <= size_);
+    const std::size_t common = other.words_.size();
+    for (std::size_t i = 0; i < common; ++i) words_[i] &= other.words_[i];
+    for (std::size_t i = common; i < words_.size(); ++i) words_[i] = 0;
     return *this;
   }
 

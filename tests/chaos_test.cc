@@ -461,6 +461,17 @@ TEST(ScenarioTest, MesosScenarioRunsCleanAndDeterministic) {
   EXPECT_FALSE(a.stream.empty());
 }
 
+// Each of these seeds loses an offer to a drop or rescind in the last
+// allocation cycle before the event queue drains; without a re-offer at the
+// drain, a framework starved and the run aborted.
+TEST(ScenarioTest, MesosOfferLostAtTheDrainStillFinishes) {
+  for (const std::uint64_t seed : {280, 348, 378, 464, 1282, 1799}) {
+    const ScenarioReport report = RunMesosScenario(RandomMesosScenario(seed));
+    EXPECT_TRUE(report.ok())
+        << "seed " << seed << ": " << ToString(report.violations.front());
+  }
+}
+
 TEST(ScenarioTest, AllOnlinePoliciesHasCanonicalOrder) {
   const std::vector<OnlinePolicy> policies = AllOnlinePolicies();
   ASSERT_EQ(policies.size(), 6u);

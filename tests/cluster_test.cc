@@ -2,7 +2,13 @@
 // component analysis.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <string>
+#include <vector>
+
 #include "core/cluster.h"
+#include "util/rng.h"
 
 namespace tsf {
 namespace {
@@ -88,6 +94,107 @@ TEST(Cluster, EligibilityMatchesFig1) {
   EXPECT_TRUE(compiled.eligible[2].Test(2));
   // u4: m2 and m4.
   EXPECT_EQ(compiled.eligible[3].Count(), 2u);
+}
+
+// The per-machine definition of an eligibility row: probe every machine
+// with Constraint::Allows. Cluster::Eligibility must build the same bits
+// from its attribute index.
+DynamicBitset EligibilitySpec(const Cluster& cluster,
+                              const Constraint& constraint) {
+  DynamicBitset bits(cluster.num_machines());
+  for (const Machine& machine : cluster.machines())
+    if (constraint.Allows(machine.id, machine.attributes)) bits.Set(machine.id);
+  return bits;
+}
+
+// Attribute ids for the random clusters: dense small ids, sparse large
+// ones, and the largest id there is.
+constexpr AttributeId kAttributePool[] = {
+    0, 1, 2, 3, 5, 8, 13, 21, 64, 1000, 65537, 4000000, 0x7fffffff, UINT32_MAX};
+
+AttributeId RandomAttribute(Rng& rng) {
+  return kAttributePool[rng.Below(std::size(kAttributePool))];
+}
+
+std::vector<Machine> RandomMachines(Rng& rng) {
+  // Sizes straddle the 64-bit word boundaries.
+  constexpr std::size_t kSizes[] = {1, 2, 63, 64, 65, 127, 128, 129, 300};
+  std::vector<Machine> machines(kSizes[rng.Below(std::size(kSizes))]);
+  for (Machine& machine : machines) {
+    machine.capacity = ResourceVector{4.0, 8.0};
+    if (rng.Chance(0.2)) continue;  // no attributes
+    const auto count = rng.Int(1, 5);
+    for (std::int64_t k = 0; k < count; ++k)
+      machine.attributes.Add(RandomAttribute(rng));
+  }
+  return machines;
+}
+
+Constraint RandomConstraint(Rng& rng, std::size_t num_machines) {
+  // Machine ids up to 70 past the fleet, so some name no machine.
+  const auto random_list = [&](std::int64_t min_length) {
+    std::vector<MachineId> list;
+    const auto length = rng.Int(min_length, 8);
+    for (std::int64_t k = 0; k < length; ++k)
+      list.push_back(rng.Below(num_machines + 70));
+    return list;
+  };
+  switch (rng.Below(4)) {
+    case 0:
+      return Constraint::None();
+    case 1: {
+      AttributeSet required;
+      const auto count = rng.Int(0, 4);  // 0: the empty requirement
+      for (std::int64_t k = 0; k < count; ++k) {
+        // Now and then an id that no machine carries.
+        required.Add(rng.Chance(0.1) ? AttributeId{777777}
+                                     : RandomAttribute(rng));
+      }
+      return Constraint::RequireAttributes(required);
+    }
+    case 2:
+      return Constraint::Whitelist(random_list(1));
+    default:
+      return Constraint::Blacklist(random_list(0));
+  }
+}
+
+void ExpectRowsMatchSpec(const Cluster& cluster,
+                         const std::vector<Constraint>& constraints,
+                         const std::string& where) {
+  for (const Constraint& constraint : constraints)
+    ASSERT_EQ(cluster.Eligibility(constraint),
+              EligibilitySpec(cluster, constraint))
+        << where << ", " << constraint.ToString() << ", "
+        << cluster.num_machines() << " machines";
+}
+
+TEST(ClusterEligibility, IndexedRowsMatchThePerMachineScan) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    const std::vector<Machine> machines = RandomMachines(rng);
+    Cluster added;
+    for (const Machine& machine : machines)
+      added.AddMachine(machine.capacity, machine.attributes);
+    const Cluster constructed(machines);
+
+    std::vector<Constraint> constraints;
+    for (int k = 0; k < 40; ++k)
+      constraints.push_back(RandomConstraint(rng, machines.size()));
+    const std::string where = "seed " + std::to_string(seed);
+    ExpectRowsMatchSpec(added, constraints, where + " AddMachine");
+    ExpectRowsMatchSpec(constructed, constraints, where + " constructor");
+
+    // Growing a copy must leave the original's index alone.
+    Cluster grown = constructed;
+    grown.AddMachine(ResourceVector{4.0, 8.0},
+                     AttributeSet({RandomAttribute(rng), 777777}));
+    grown.AddMachine(ResourceVector{4.0, 8.0});
+    constraints.push_back(
+        Constraint::RequireAttributes(AttributeSet({777777})));
+    ExpectRowsMatchSpec(constructed, constraints, where + " original");
+    ExpectRowsMatchSpec(grown, constraints, where + " grown copy");
+  }
 }
 
 TEST(Compile, MonopolyCountsFig4Example) {

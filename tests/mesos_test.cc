@@ -276,6 +276,30 @@ TEST(RunCluster, DeclineTimeoutBlacksOutOffers) {
   EXPECT_GT(outcome.stats.blackout_declines, 0);
 }
 
+// A drop or rescind that eats the last offer before the event queue drains
+// is re-offered at the drain instant. Here the task finishing at t=2 frees
+// the only slave, its offer to f is lost, and nothing else is queued; the
+// second task must still run 2-4.
+TEST(RunCluster, OfferLostAtTheDrainIsReoffered) {
+  ClusterConfig config;
+  config.slaves = {{ResourceVector{1.0, 256.0}, "n1"}};
+  config.sample_interval = 0.0;
+  FrameworkSpec fw{.name = "f", .start_time = 0.0, .num_tasks = 2,
+                   .demand = ResourceVector{1.0, 256.0}, .mean_runtime = 2.0,
+                   .runtime_jitter = 0.0};
+  for (const Fault::Kind kind :
+       {Fault::Kind::kOfferRescind, Fault::Kind::kOfferDrop}) {
+    RunOptions options;
+    // Two drops in a row (param 2): each lost offer earns one more re-offer.
+    options.faults = {{1.0, kind, 0, 2.0}};
+    const SimOutcome outcome = RunCluster(config, {fw}, options);
+    EXPECT_EQ(outcome.frameworks[0].tasks_run, 2);
+    EXPECT_NEAR(outcome.frameworks[0].completion_time, 4.0, 1e-9);
+    EXPECT_EQ(outcome.stats.offers_rescinded + outcome.stats.offers_dropped,
+              kind == Fault::Kind::kOfferDrop ? 2 : 1);
+  }
+}
+
 // --- declines that wait for capacity -----------------------------------------
 //
 // Each test below puts a framework into a decline backlog and asserts the

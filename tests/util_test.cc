@@ -129,6 +129,45 @@ TEST(DynamicBitset, IntersectsAndOperators) {
   EXPECT_TRUE(neither.None());
 }
 
+TEST(DynamicBitset, GrowKeepsBitsAndClearsNewOnes) {
+  DynamicBitset bits(3);
+  bits.SetAll();
+  bits.Grow(3);  // same size: no-op
+  EXPECT_EQ(bits.Count(), 3u);
+  bits.Grow(130);
+  EXPECT_EQ(bits.size(), 130u);
+  EXPECT_EQ(bits.Count(), 3u);
+  EXPECT_TRUE(bits.Test(2));
+  EXPECT_FALSE(bits.Test(3));
+  EXPECT_FALSE(bits.Test(129));
+  bits.Set(129);
+  EXPECT_EQ(bits, [] {
+    DynamicBitset expected(130);
+    for (const std::size_t i : {0, 1, 2, 129}) expected.Set(i);
+    return expected;
+  }());
+}
+
+TEST(DynamicBitset, AndPrefixReadsMissingBitsAsClear) {
+  DynamicBitset bits(200);
+  bits.SetAll();
+  DynamicBitset shorter(70);
+  shorter.Set(0);
+  shorter.Set(69);
+  bits.AndPrefix(shorter);
+  EXPECT_EQ(bits.size(), 200u);
+  EXPECT_EQ(bits.Count(), 2u);
+  EXPECT_TRUE(bits.Test(0));
+  EXPECT_TRUE(bits.Test(69));
+
+  DynamicBitset same(200);
+  same.Set(69);
+  bits.AndPrefix(same);
+  EXPECT_EQ(bits.Count(), 1u);
+  bits.AndPrefix(DynamicBitset());
+  EXPECT_TRUE(bits.None());
+}
+
 TEST(DynamicBitset, ForEachSetVisitsAscending) {
   DynamicBitset bits(200);
   const std::vector<std::size_t> expected = {3, 64, 65, 127, 128, 199};
