@@ -137,12 +137,9 @@ void MaybeWriteFairnessTimelines(const MacroConfig& config,
   for (std::size_t p = 0; p < policies.size(); ++p) {
     const std::string stem =
         config.telemetry_dir + "/fairness_" + policies[p].name;
-    if (!telemetry::WriteFairnessCsv(stem + ".csv",
-                                     results[p].fairness_timeline) ||
-        !telemetry::WriteFairnessJsonl(stem + ".jsonl", policies[p].name,
+    if (!telemetry::WriteFairnessJsonl(stem + ".jsonl", policies[p].name,
                                        results[p].fairness_timeline))
-      std::fprintf(stderr, "telemetry: cannot write %s.{csv,jsonl}\n",
-                   stem.c_str());
+      std::fprintf(stderr, "telemetry: cannot write %s.jsonl\n", stem.c_str());
   }
 }
 

@@ -68,7 +68,7 @@ MacroConfig ParseMacroFlags(
     std::vector<std::pair<std::string, std::string>> extra_flags = {},
     const Flags** flags_out = nullptr);
 
-// Writes fairness_<policy>.csv/.jsonl under config.telemetry_dir for the
+// Writes fairness_<policy>.jsonl under config.telemetry_dir for the
 // representative seed (config.first_seed); no-op for other seeds or when
 // telemetry/sampling is off. Call from a RunSeeds reducer.
 void MaybeWriteFairnessTimelines(const MacroConfig& config,

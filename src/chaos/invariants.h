@@ -1,11 +1,11 @@
 // Invariant checkers over recorded scheduler streams.
 //
-// Both substrates record their state transitions into an event stream
-// (sim/des.h SimStreamEvent, mesos/mesos.h MasterEvent); the checker
-// replays the stream against a shadow model of the cluster — free capacity,
-// live tasks, machine up/down, user connectivity — and reports every
-// invariant violation instead of aborting on the first, so the fuzzer can
-// shrink a failing plan with the violation signature as the predicate.
+// Both substrates record their state transitions into one event log
+// (core/stream_event.h StreamEvent); the checker replays the log against a
+// shadow model of the cluster — free capacity, live tasks, machine up/down,
+// user connectivity — and reports every invariant violation instead of
+// aborting on the first, so the fuzzer can shrink a failing plan with the
+// violation signature as the predicate.
 //
 // Invariants checked (the online-stack safety net of DESIGN.md §9):
 //   - the virtual clock never runs backwards;
@@ -28,37 +28,9 @@
 #include <vector>
 
 #include "core/resource.h"
+#include "core/stream_event.h"
 
 namespace tsf::chaos {
-
-// Substrate-neutral stream event (the union of the DES and Mesos streams).
-struct StreamEvent {
-  enum class Kind {
-    kArrive,      // user registered
-    kPlace,       // task placed on machine
-    kFinish,      // task completed on machine
-    kKill,        // task killed by a machine crash, requeued
-    kFail,        // task failed (machine up), requeued
-    kCrash,       // machine went down
-    kRestart,     // machine came back
-    kDisconnect,  // user stopped receiving offers (Mesos only)
-    kReregister,  // user resumed receiving offers (Mesos only)
-  };
-  double time = 0.0;
-  Kind kind = Kind::kArrive;
-  std::uint32_t user = 0;
-  std::uint32_t task = 0;  // substrate-scoped task id
-  std::uint32_t machine = 0;
-
-  bool operator==(const StreamEvent&) const = default;
-};
-
-std::string ToString(StreamEvent::Kind kind);
-// One-line rendering, "t=<time> <kind> user=<u> task=<t> machine=<m>" — the
-// unit of the golden placement streams and the first-divergence diffs.
-std::string FormatStreamEvent(const StreamEvent& event);
-// FNV-1a over the formatted lines; the golden tests' stream fingerprint.
-std::uint64_t HashStream(const std::vector<StreamEvent>& stream);
 
 // The static facts the checker validates a stream against. Capacity and
 // demand must be in one consistent unit system (the scenario runners use

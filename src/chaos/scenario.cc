@@ -173,44 +173,6 @@ ScenarioView ViewOfWorkload(const Workload& workload) {
   return view;
 }
 
-std::vector<StreamEvent> ConvertDesStream(
-    const std::vector<SimStreamEvent>& stream) {
-  std::vector<StreamEvent> converted;
-  converted.reserve(stream.size());
-  for (const SimStreamEvent& event : stream) {
-    StreamEvent out;
-    out.time = event.time;
-    out.user = event.job;
-    out.task = event.task;
-    out.machine = event.machine;
-    switch (event.kind) {
-      case SimStreamEvent::Kind::kArrive:
-        out.kind = StreamEvent::Kind::kArrive;
-        break;
-      case SimStreamEvent::Kind::kPlace:
-        out.kind = StreamEvent::Kind::kPlace;
-        break;
-      case SimStreamEvent::Kind::kFinish:
-        out.kind = StreamEvent::Kind::kFinish;
-        break;
-      case SimStreamEvent::Kind::kKill:
-        out.kind = StreamEvent::Kind::kKill;
-        break;
-      case SimStreamEvent::Kind::kFail:
-        out.kind = StreamEvent::Kind::kFail;
-        break;
-      case SimStreamEvent::Kind::kCrash:
-        out.kind = StreamEvent::Kind::kCrash;
-        break;
-      case SimStreamEvent::Kind::kRestart:
-        out.kind = StreamEvent::Kind::kRestart;
-        break;
-    }
-    converted.push_back(out);
-  }
-  return converted;
-}
-
 ScenarioReport RunDesScenario(const Workload& workload,
                               const OnlinePolicy& policy,
                               const FaultPlan& plan, SimCore core,
@@ -227,16 +189,14 @@ ScenarioReport RunDesScenario(const Workload& workload,
                               const ScenarioRunOptions& run_options) {
   TSF_CHECK(ValidateFaultPlan(plan, workload.cluster.num_machines(), 0).empty())
       << "ill-formed DES fault plan";
-  std::vector<SimStreamEvent> raw;
+  ScenarioReport report;
   SimOptions options;
   options.faults = CompileForDes(plan);
-  options.stream = &raw;
+  options.stream = &report.stream;
   options.cluster_mode = run_options.cluster_mode;
   options.fairness_sample_interval = run_options.fairness_sample_interval;
   const SimResult result =
       Simulate(workload, policy, run_options.core, options);
-  ScenarioReport report;
-  report.stream = ConvertDesStream(raw);
   report.violations =
       CheckStream(ViewOfWorkload(workload), report.stream,
                   run_options.coverage ? &report.coverage : nullptr);
@@ -319,50 +279,6 @@ ScenarioView ViewOfMesos(const mesos::ClusterConfig& config,
   return view;
 }
 
-std::vector<StreamEvent> ConvertMesosStream(
-    const std::vector<mesos::MasterEvent>& stream) {
-  std::vector<StreamEvent> converted;
-  converted.reserve(stream.size());
-  for (const mesos::MasterEvent& event : stream) {
-    StreamEvent out;
-    out.time = event.time;
-    out.user = event.framework;
-    out.task = event.task;
-    out.machine = event.slave;
-    switch (event.kind) {
-      case mesos::MasterEvent::Kind::kRegister:
-        out.kind = StreamEvent::Kind::kArrive;
-        break;
-      case mesos::MasterEvent::Kind::kDisconnect:
-        out.kind = StreamEvent::Kind::kDisconnect;
-        break;
-      case mesos::MasterEvent::Kind::kReregister:
-        out.kind = StreamEvent::Kind::kReregister;
-        break;
-      case mesos::MasterEvent::Kind::kLaunch:
-        out.kind = StreamEvent::Kind::kPlace;
-        break;
-      case mesos::MasterEvent::Kind::kFinish:
-        out.kind = StreamEvent::Kind::kFinish;
-        break;
-      case mesos::MasterEvent::Kind::kKill:
-        out.kind = StreamEvent::Kind::kKill;
-        break;
-      case mesos::MasterEvent::Kind::kFail:
-        out.kind = StreamEvent::Kind::kFail;
-        break;
-      case mesos::MasterEvent::Kind::kCrash:
-        out.kind = StreamEvent::Kind::kCrash;
-        break;
-      case mesos::MasterEvent::Kind::kRestart:
-        out.kind = StreamEvent::Kind::kRestart;
-        break;
-    }
-    converted.push_back(out);
-  }
-  return converted;
-}
-
 ScenarioReport RunMesosScenario(const MesosScenario& scenario) {
   return RunMesosScenario(scenario, ScenarioRunOptions{});
 }
@@ -373,13 +289,11 @@ ScenarioReport RunMesosScenario(const MesosScenario& scenario,
                               scenario.frameworks.size())
                 .empty())
       << "ill-formed Mesos fault plan";
-  std::vector<mesos::MasterEvent> raw;
+  ScenarioReport report;
   mesos::RunOptions options;
   options.faults = CompileForMesos(scenario.plan);
-  options.stream = &raw;
+  options.stream = &report.stream;
   mesos::RunCluster(scenario.config, scenario.frameworks, options);
-  ScenarioReport report;
-  report.stream = ConvertMesosStream(raw);
   report.violations =
       CheckStream(ViewOfMesos(scenario.config, scenario.frameworks),
                   report.stream,

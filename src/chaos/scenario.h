@@ -1,9 +1,8 @@
 // Scenario runners: one (workload × policy × FaultPlan) triple end to end.
 //
 // A scenario run executes a substrate with fault injection enabled and the
-// stream recorder attached, converts the substrate-native stream into the
-// checker's neutral form, and replays it through every invariant checker
-// (invariants.h). Scenario generators are seed-deterministic so a repro
+// stream recorder attached, and replays the recorded log as it is through
+// every invariant checker (invariants.h). Scenario generators are seed-deterministic so a repro
 // file only needs the seed and the (possibly shrunk) plan to rebuild the
 // exact failing run.
 #pragma once
@@ -21,7 +20,7 @@
 namespace tsf::chaos {
 
 struct ScenarioReport {
-  std::vector<StreamEvent> stream;     // the converted, checked stream
+  std::vector<StreamEvent> stream;     // the recorded, checked log
   std::vector<Violation> violations;   // empty == all invariants hold
   std::uint64_t stream_hash = 0;       // HashStream(stream)
   // Checker branches this run exercised (chaos::ChaosCoverage); empty unless
@@ -70,9 +69,6 @@ DesScenario RandomUniformDesScenario(std::uint64_t seed);
 // the scheduler's internal arithmetic).
 ScenarioView ViewOfWorkload(const Workload& workload);
 
-std::vector<StreamEvent> ConvertDesStream(
-    const std::vector<SimStreamEvent>& stream);
-
 // Knobs of the instrumented scenario runners (the guided fuzzer's feedback
 // taps). The defaults reproduce the plain runners exactly.
 struct ScenarioRunOptions {
@@ -116,9 +112,6 @@ MesosScenario RandomMesosScenario(std::uint64_t seed);
 // The checker's static view of a Mesos cluster (raw units).
 ScenarioView ViewOfMesos(const mesos::ClusterConfig& config,
                          const std::vector<mesos::FrameworkSpec>& frameworks);
-
-std::vector<StreamEvent> ConvertMesosStream(
-    const std::vector<mesos::MasterEvent>& stream);
 
 ScenarioReport RunMesosScenario(const MesosScenario& scenario);
 ScenarioReport RunMesosScenario(const MesosScenario& scenario,

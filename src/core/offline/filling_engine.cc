@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <thread>
 
 #include "telemetry/telemetry.h"
 #include "util/check.h"
@@ -15,17 +14,6 @@ namespace {
 constexpr double kNoCutoff = std::numeric_limits<double>::infinity();
 
 }  // namespace
-
-ThreadPool* SharedFillingPool() {
-  // Created on first use and intentionally never destroyed: worker threads
-  // must outlive every caller, and teardown order at exit is unknowable.
-  static ThreadPool* pool = [] {
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw <= 1) return static_cast<ThreadPool*>(nullptr);
-    return new ThreadPool(hw);
-  }();
-  return pool;
-}
 
 FillingEngine::FillingEngine(FillingSpec spec, const FillingOptions& options)
     : spec_(std::move(spec)),
@@ -147,7 +135,7 @@ void FillingEngine::RunProbes(const std::vector<std::size_t>& targets,
     const std::size_t j = targets[index];
     (*value)[j] = ProbeUser(j, cutoff);
   };
-  ThreadPool* pool = options_.serial_probes ? nullptr : options_.pool;
+  ThreadPool* pool = options_.pool;
   if (pool != nullptr && pool->thread_count() > 1 && targets.size() > 1) {
     pool->ParallelFor(targets.size(), run_probe);
   } else {

@@ -58,23 +58,13 @@ namespace tsf {
 struct FillingOptions {
   // Pool for fanning FREEZE probes out. nullptr means serial probes. Do NOT
   // pass a pool whose workers may themselves be running the caller:
-  // ParallelFor waits on the pool and would deadlock (see thread_pool.h);
-  // top-level callers can use SharedFillingPool().
+  // ParallelFor waits on the pool and would deadlock (see thread_pool.h).
   ThreadPool* pool = nullptr;
-
-  // Force serial probes even when `pool` is set (used by the determinism
-  // tests to produce the reference ordering).
-  bool serial_probes = false;
 
   // Solve every LP with the dense tableau solver instead of the warm
   // revised path — the executable-spec mode differential tests diff against.
   bool use_dense_engine = false;
 };
-
-// Lazily-created process-wide pool for probe fan-out; nullptr on single-core
-// hosts where a pool would only add synchronization overhead. Only safe from
-// threads that are not themselves SharedFillingPool() workers.
-ThreadPool* SharedFillingPool();
 
 // One coupling row of a user: while the user is active the row reads
 // `terms · x = share_coeff * s`; once frozen at total floor F it becomes

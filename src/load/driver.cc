@@ -27,6 +27,12 @@ std::uint64_t FnvMix(std::uint64_t hash, double value) {
 
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
+// The Mesos placement hash mixes each kind as the ordinal the master's own
+// event type once gave it (register, disconnect, reregister, launch, finish,
+// kill, fail, crash, restart), indexed here by StreamEvent::Kind, so the
+// pinned `mesos-load` hashes keep their values.
+constexpr std::uint64_t kMesosKindOrdinal[] = {0, 3, 4, 5, 6, 7, 8, 1, 2};
+
 // Emits queue-depth samples at t = 0, interval, 2*interval, ... each
 // reflecting the depth just before the events at that instant apply.
 class QueueSampler {
@@ -98,14 +104,11 @@ LoadReport RunDesLoad(const DriverConfig& config, const OnlinePolicy& policy,
   // pending_since[slot]: when the task last became pending. All of a job's
   // tasks are submitted at its arrival; kills and failures re-arm the clock.
   std::vector<double> pending_since(total_tasks, 0.0);
-  std::vector<std::uint32_t> job_of(total_tasks, 0);
   for (std::size_t j = 0; j < stream.jobs.size(); ++j)
-    for (std::size_t s = slot_base[j]; s < slot_base[j + 1]; ++s) {
+    for (std::size_t s = slot_base[j]; s < slot_base[j + 1]; ++s)
       pending_since[s] = stream.jobs[j].spec.arrival_time;
-      job_of[s] = static_cast<std::uint32_t>(j);
-    }
 
-  std::vector<SimStreamEvent> events;
+  std::vector<StreamEvent> events;
   Workload workload{MakeLoadCluster(config.num_machines), stream.jobs};
   SimOptions options;
   options.stream = &events;
@@ -126,37 +129,39 @@ LoadReport RunDesLoad(const DriverConfig& config, const OnlinePolicy& policy,
 
   QueueSampler sampler(config.queue_sample_interval, &report.queue_depth);
   std::uint64_t hash = kFnvOffset;
-  for (const SimStreamEvent& event : events) {
+  for (const StreamEvent& event : events) {
     hash = FnvMix(hash, static_cast<std::uint64_t>(event.kind));
     hash = FnvMix(hash, event.time);
-    hash = FnvMix(hash, (static_cast<std::uint64_t>(event.job) << 32) |
+    hash = FnvMix(hash, (static_cast<std::uint64_t>(event.user) << 32) |
                             event.task);
     hash = FnvMix(hash, (static_cast<std::uint64_t>(event.machine) << 32) |
                             event.attempt);
     sampler.AdvanceTo(event.time);
     switch (event.kind) {
-      case SimStreamEvent::Kind::kArrive:
-        sampler.Apply(stream.jobs.at(event.job).spec.num_tasks);
+      case StreamEvent::Kind::kArrive:
+        sampler.Apply(stream.jobs.at(event.user).spec.num_tasks);
         break;
-      case SimStreamEvent::Kind::kPlace: {
+      case StreamEvent::Kind::kPlace: {
         const double ttp_ms =
             (event.time - pending_since.at(event.task)) * kMsPerSecond;
         report.all.ttp_ms.Record(ttp_ms);
-        report.per_class.at(stream.class_of.at(job_of.at(event.task)))
+        report.per_class.at(stream.class_of.at(event.user))
             .ttp_ms.Record(ttp_ms);
         ++report.placements;
         sampler.Apply(-1);
         break;
       }
-      case SimStreamEvent::Kind::kKill:
-      case SimStreamEvent::Kind::kFail:
+      case StreamEvent::Kind::kKill:
+      case StreamEvent::Kind::kFail:
         pending_since.at(event.task) = event.time;
         ++report.requeues;
         sampler.Apply(+1);
         break;
-      case SimStreamEvent::Kind::kFinish:
-      case SimStreamEvent::Kind::kCrash:
-      case SimStreamEvent::Kind::kRestart:
+      case StreamEvent::Kind::kFinish:
+      case StreamEvent::Kind::kCrash:
+      case StreamEvent::Kind::kRestart:
+      case StreamEvent::Kind::kDisconnect:
+      case StreamEvent::Kind::kReregister:
         break;
     }
   }
@@ -187,7 +192,7 @@ LoadReport RunMesosLoad(const DriverConfig& config,
   cluster.seed = config.stream.seed;
   cluster.sample_interval = 0.0;
 
-  std::vector<mesos::MasterEvent> events;
+  std::vector<StreamEvent> events;
   mesos::RunOptions options;
   options.faults = std::move(faults);
   options.stream = &events;
@@ -212,43 +217,44 @@ LoadReport RunMesosLoad(const DriverConfig& config,
 
   QueueSampler sampler(config.queue_sample_interval, &report.queue_depth);
   std::uint64_t hash = kFnvOffset;
-  for (const mesos::MasterEvent& event : events) {
-    hash = FnvMix(hash, static_cast<std::uint64_t>(event.kind));
+  for (const StreamEvent& event : events) {
+    hash = FnvMix(hash,
+                  kMesosKindOrdinal[static_cast<std::size_t>(event.kind)]);
     hash = FnvMix(hash, event.time);
-    hash = FnvMix(hash, (static_cast<std::uint64_t>(event.framework) << 32) |
+    hash = FnvMix(hash, (static_cast<std::uint64_t>(event.user) << 32) |
                             event.task);
-    hash = FnvMix(hash, static_cast<std::uint64_t>(event.slave));
+    hash = FnvMix(hash, static_cast<std::uint64_t>(event.machine));
     sampler.AdvanceTo(event.time);
-    std::deque<double>& queue = pending_since.at(event.framework);
+    std::deque<double>& queue = pending_since.at(event.user);
     switch (event.kind) {
-      case mesos::MasterEvent::Kind::kRegister: {
-        const long n = frameworks.at(event.framework).num_tasks;
+      case StreamEvent::Kind::kArrive: {
+        const long n = frameworks.at(event.user).num_tasks;
         for (long t = 0; t < n; ++t) queue.push_back(event.time);
         sampler.Apply(n);
         break;
       }
-      case mesos::MasterEvent::Kind::kLaunch: {
+      case StreamEvent::Kind::kPlace: {
         TSF_CHECK(!queue.empty()) << "launch with no pending task";
         const double ttp_ms = (event.time - queue.front()) * kMsPerSecond;
         queue.pop_front();
         report.all.ttp_ms.Record(ttp_ms);
-        report.per_class.at(stream.class_of.at(event.framework))
+        report.per_class.at(stream.class_of.at(event.user))
             .ttp_ms.Record(ttp_ms);
         ++report.placements;
         sampler.Apply(-1);
         break;
       }
-      case mesos::MasterEvent::Kind::kKill:
-      case mesos::MasterEvent::Kind::kFail:
+      case StreamEvent::Kind::kKill:
+      case StreamEvent::Kind::kFail:
         queue.push_back(event.time);
         ++report.requeues;
         sampler.Apply(+1);
         break;
-      case mesos::MasterEvent::Kind::kFinish:
-      case mesos::MasterEvent::Kind::kDisconnect:
-      case mesos::MasterEvent::Kind::kReregister:
-      case mesos::MasterEvent::Kind::kCrash:
-      case mesos::MasterEvent::Kind::kRestart:
+      case StreamEvent::Kind::kFinish:
+      case StreamEvent::Kind::kCrash:
+      case StreamEvent::Kind::kRestart:
+      case StreamEvent::Kind::kDisconnect:
+      case StreamEvent::Kind::kReregister:
         break;
     }
   }

@@ -2,15 +2,13 @@
 // an online substrate and derives the SLO observability metrics from the
 // recorded event stream.
 //
-// Both substrates already emit a total-order event stream (SimStreamEvent /
-// MasterEvent) for the golden-determinism and chaos invariant checks; the
-// driver reuses it as the measurement tap. Per-task time-to-placement is the
-// virtual time between a task becoming pending (job arrival, or a
-// fault-driven requeue) and its (re)placement; queue depth is the number of
-// pending tasks at each sample instant. Deriving both offline from the
-// stream keeps the substrates untouched and the metrics exact — the
-// in-substrate TSF_HISTOGRAM_RECORD sites are the live-process view of the
-// same quantities and are compiled out under -DTSF_TELEMETRY=OFF.
+// Both substrates already record one total-order event log (StreamEvent,
+// core/stream_event.h) for the golden-determinism and chaos invariant
+// checks; the driver reuses it as the measurement tap. Per-task
+// time-to-placement is the virtual time between a task becoming pending (job
+// arrival, or a fault-driven requeue) and its (re)placement; queue depth is
+// the number of pending tasks at each sample instant. Both are derived from
+// the log alone: the substrates keep no latency metric of their own.
 //
 // Latencies are recorded in *milliseconds*: the log-bucketed histogram's
 // bucket 0 swallows everything below 1, so sub-second waits — the common

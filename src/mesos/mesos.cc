@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <queue>
 
@@ -72,14 +71,6 @@ struct FrameworkState {
   // .declined); resolved once at registration, incremented when enabled.
   telemetry::Counter* accepted_counter = nullptr;
   telemetry::Counter* declined_counter = nullptr;
-  // Per-framework time-to-placement histogram (mesos.ttp_ms.<name>, in ms)
-  // and the pending-since FIFO behind it: registration enqueues one entry
-  // per task, a launch consumes the oldest, kills/failures re-enqueue.
-  // Entries arrive in nondecreasing time order, so FIFO matching is exact
-  // (the master does not preserve task identity across relaunches).
-  // Maintained only while telemetry is enabled.
-  telemetry::Histogram* ttp_hist = nullptr;
-  std::deque<double> ttp_pending_since;
 #endif
 
   bool HasPending() const { return launched < spec.num_tasks; }
@@ -175,11 +166,11 @@ SimOutcome RunCluster(const ClusterConfig& config,
   std::uint64_t next_task_id = 0;
   const InjectedBug injected_bug =
       g_injected_bug.load(std::memory_order_relaxed);
-  auto emit = [&](MasterEvent::Kind kind, double time, std::size_t framework,
+  auto emit = [&](StreamEvent::Kind kind, double time, std::size_t framework,
                   std::uint64_t task, std::size_t slave) {
     if (options.stream == nullptr) return;
     options.stream->push_back(
-        MasterEvent{time, kind, static_cast<std::uint32_t>(framework),
+        StreamEvent{time, kind, static_cast<std::uint32_t>(framework),
                     static_cast<std::uint32_t>(task),
                     static_cast<std::uint32_t>(slave)});
   };
@@ -228,8 +219,6 @@ SimOutcome RunCluster(const ClusterConfig& config,
         "mesos.offers." + fw.spec.name + ".accepted");
     fw.declined_counter = &telemetry::Registry::Get().GetCounter(
         "mesos.offers." + fw.spec.name + ".declined");
-    fw.ttp_hist = &telemetry::Registry::Get().GetHistogram(
-        "mesos.ttp_ms." + fw.spec.name);
 #endif
   }
 
@@ -440,15 +429,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
       ++stats.offers_accepted;
       TSF_COUNTER_ADD("mesos.offers.accepted", 1);
 #if defined(TSF_TELEMETRY)
-      if (telemetry::Enabled()) {
-        fw.accepted_counter->Add(1);
-        if (!fw.ttp_pending_since.empty()) {
-          const double ttp_ms = (now - fw.ttp_pending_since.front()) * 1000.0;
-          fw.ttp_pending_since.pop_front();
-          TSF_HISTOGRAM_RECORD("mesos.time_to_placement_ms", ttp_ms);
-          fw.ttp_hist->Record(ttp_ms);
-        }
-      }
+      if (telemetry::Enabled()) fw.accepted_counter->Add(1);
 #endif
       fw.stats.first_task_time = std::min(fw.stats.first_task_time, now);
       const double runtime = fw.spec.mean_runtime *
@@ -457,7 +438,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
       const std::uint64_t task_id = next_task_id++;
       cancelled.push_back(0);
       on_slave[slave].push_back(RunningTask{task_id, entry.id});
-      emit(MasterEvent::Kind::kLaunch, now, entry.id, task_id, slave);
+      emit(StreamEvent::Kind::kPlace, now, entry.id, task_id, slave);
       events.push(Event{now + runtime, seq++, Event::Kind::kTaskFinish,
                         entry.id, slave, task_id});
       if (fw.HasPending()) offer_heap.Push(fw.key, entry.id);
@@ -493,14 +474,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
         case Event::Kind::kRegister:
           frameworks[event.framework].registered = true;
           live.push_back(event.framework);
-#if defined(TSF_TELEMETRY)
-          if (telemetry::Enabled()) {
-            FrameworkState& rfw = frameworks[event.framework];
-            for (long t = 0; t < rfw.spec.num_tasks; ++t)
-              rfw.ttp_pending_since.push_back(now);
-          }
-#endif
-          emit(MasterEvent::Kind::kRegister, now, event.framework, 0, 0);
+          emit(StreamEvent::Kind::kArrive, now, event.framework, 0, 0);
           state_changed = true;
           TSF_TRACE_INSTANT("mesos", "register");
           break;
@@ -526,7 +500,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
           fw.UpdateKey();
           ++fw.finished;
           ++fw.stats.tasks_run;
-          emit(MasterEvent::Kind::kFinish, now, event.framework, event.task,
+          emit(StreamEvent::Kind::kFinish, now, event.framework, event.task,
                event.slave);
           outcome.makespan = std::max(outcome.makespan, now);
           if (fw.finished == fw.spec.num_tasks) fw.stats.completion_time = now;
@@ -559,17 +533,13 @@ SimOutcome RunCluster(const ClusterConfig& config,
                 --vfw.running;
                 --vfw.launched;  // re-enters the pending pool
                 vfw.UpdateKey();
-#if defined(TSF_TELEMETRY)
-                if (telemetry::Enabled())
-                  vfw.ttp_pending_since.push_back(now);
-#endif
-                emit(MasterEvent::Kind::kKill, now, rt.framework, rt.task, s);
+                emit(StreamEvent::Kind::kKill, now, rt.framework, rt.task, s);
               }
               on.clear();
               up[s] = false;
               free[s] = ResourceVector(resources);
               forget_declines();
-              emit(MasterEvent::Kind::kCrash, now, 0, 0, s);
+              emit(StreamEvent::Kind::kCrash, now, 0, 0, s);
               TSF_COUNTER_ADD("chaos.mesos.slave_crashes", 1);
               state_changed = true;
               break;
@@ -581,7 +551,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
               up[s] = true;
               free[s] = config.slaves[s].capacity;
               forget_declines();
-              emit(MasterEvent::Kind::kRestart, now, 0, 0, s);
+              emit(StreamEvent::Kind::kRestart, now, 0, 0, s);
               TSF_COUNTER_ADD("chaos.mesos.slave_restarts", 1);
               state_changed = true;
               break;
@@ -604,13 +574,9 @@ SimOutcome RunCluster(const ClusterConfig& config,
               --vfw.running;
               --vfw.launched;  // re-enters the pending pool
               vfw.UpdateKey();
-#if defined(TSF_TELEMETRY)
-              if (telemetry::Enabled())
-                vfw.ttp_pending_since.push_back(now);
-#endif
               free[s] += vfw.spec.demand;
               grown.push_back(static_cast<std::uint32_t>(s));
-              emit(MasterEvent::Kind::kFail, now, rt.framework, rt.task, s);
+              emit(StreamEvent::Kind::kFail, now, rt.framework, rt.task, s);
               TSF_COUNTER_ADD("chaos.mesos.task_failures", 1);
               state_changed = true;
               break;
@@ -643,7 +609,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
               TSF_CHECK(fw.registered)
                   << "disconnect of unregistered framework " << fault.target;
               fw.registered = false;  // no offers; running tasks continue
-              emit(MasterEvent::Kind::kDisconnect, now, fault.target, 0, 0);
+              emit(StreamEvent::Kind::kDisconnect, now, fault.target, 0, 0);
               TSF_COUNTER_ADD("chaos.mesos.disconnects", 1);
               break;
             }
@@ -653,7 +619,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
               TSF_CHECK(!fw.registered)
                   << "re-register of registered framework " << fault.target;
               fw.registered = true;
-              emit(MasterEvent::Kind::kReregister, now, fault.target, 0, 0);
+              emit(StreamEvent::Kind::kReregister, now, fault.target, 0, 0);
               state_changed = true;
               break;
             }
@@ -669,16 +635,7 @@ SimOutcome RunCluster(const ClusterConfig& config,
       }
     }
     if (state_changed) run_allocation(now);
-    if (sampled) {
-      sample_timeline(now);
-      bool work_remaining = false;
-      for (const FrameworkState& fw : frameworks)
-        if (!fw.registered || fw.finished < fw.spec.num_tasks)
-          work_remaining = true;
-      if (work_remaining)
-        events.push(Event{now + config.sample_interval, seq++,
-                          Event::Kind::kSample, 0, 0});
-    }
+    if (sampled) sample_timeline(now);
 
     // A dropped or rescinded offer returns to the allocator, but nothing
     // re-runs the allocator for it. So when the queue drains (a pending
@@ -700,6 +657,19 @@ SimOutcome RunCluster(const ClusterConfig& config,
       lost_offers_at_nudge = lost_offers;
       events.push(Event{now, seq++, Event::Kind::kNudge, 0, 0});
     }
+
+    // The next sample is armed only while some other event is queued: a
+    // sample changes no state, so re-arming it on an otherwise empty queue
+    // would tick forever past a framework that can never finish instead of
+    // reaching the "did not finish" check below.
+    if (sampled && !events.empty() &&
+        std::any_of(frameworks.begin(), frameworks.end(),
+                    [](const FrameworkState& fw) {
+                      return !fw.registered ||
+                             fw.finished < fw.spec.num_tasks;
+                    }))
+      events.push(Event{now + config.sample_interval, seq++,
+                        Event::Kind::kSample, 0, 0});
   }
 
   for (std::size_t f = 0; f < num_frameworks; ++f) {

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/resource.h"
+#include "core/stream_event.h"
 
 namespace tsf::mesos {
 
@@ -142,28 +143,9 @@ struct Fault {
   double param = 0.0;      // kOfferDrop: offer count; kDeclineTimeout: window
 };
 
-// One record per master state transition, emitted in order when
-// RunOptions::stream is set. `task` is a master-global launch id (unique per
-// launch; a relaunched task gets a fresh id — the Mesos substrate does not
-// preserve task identity across retries, unlike the DES).
-struct MasterEvent {
-  enum class Kind {
-    kRegister,    // framework registered (task/slave zero)
-    kDisconnect,  // framework disconnected (injected fault)
-    kReregister,  // framework re-registered
-    kLaunch,      // task launched on slave
-    kFinish,      // task completed on slave
-    kKill,        // task killed by a slave crash, requeued
-    kFail,        // task failed (slave stays up), requeued
-    kCrash,       // slave went down
-    kRestart,     // slave came back
-  };
-  double time = 0.0;
-  Kind kind = Kind::kRegister;
-  std::uint32_t framework = 0;
-  std::uint32_t task = 0;  // master-global launch id
-  std::uint32_t slave = 0;
-};
+// The former name of StreamEvent, kept only because perfbench/main.cc still
+// spells it; nothing else may use it.
+using MasterEvent = StreamEvent;
 
 struct RunOptions {
   // Fault events to inject, sorted by time (checked). Plans must be
@@ -173,8 +155,12 @@ struct RunOptions {
   // with unfinished frameworks, which is fatal.
   std::vector<Fault> faults;
   // When set, every master state transition is appended here (input of the
-  // chaos invariant checkers).
-  std::vector<MasterEvent>* stream = nullptr;
+  // chaos invariant checkers and the load driver). A registration is
+  // kArrive and a launch kPlace; `user` is the framework index, `machine`
+  // the slave index, and `task` a master-global launch id (fresh on every
+  // launch: unlike the DES, the master does not preserve task identity
+  // across relaunches), so `attempt` is always 0.
+  std::vector<StreamEvent>* stream = nullptr;
 };
 
 // Deliberately injectable bugs, for testing that the chaos harness catches

@@ -179,14 +179,14 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
   std::vector<std::uint32_t> attempt(chaos ? total_tasks : 0, 0);
   std::vector<std::vector<std::uint32_t>> requeued(
       chaos ? workload.jobs.size() : 0);
-  auto emit = [&](SimStreamEvent::Kind kind, double time, std::size_t job,
+  auto emit = [&](StreamEvent::Kind kind, double time, std::size_t job,
                   std::size_t task, std::size_t machine,
                   std::uint32_t generation) {
     if (options.stream == nullptr) return;
     options.stream->push_back(
-        SimStreamEvent{time, kind, static_cast<std::uint32_t>(job),
-                       static_cast<std::uint32_t>(task),
-                       static_cast<std::uint32_t>(machine), generation});
+        StreamEvent{time, kind, static_cast<std::uint32_t>(job),
+                    static_cast<std::uint32_t>(task),
+                    static_cast<std::uint32_t>(machine), generation});
   };
 
   // Class-collapse decision: only the incremental core has a collapsed
@@ -265,26 +265,6 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
   double now = 0.0;
   std::size_t tasks_placed = 0;
 
-#if defined(TSF_TELEMETRY)
-  // Live time-to-placement instrumentation (virtual seconds between a slot
-  // becoming pending and its placement, recorded in ms — the log buckets
-  // start at 1, so sub-second waits need the scale-up). The offline load
-  // driver (load/driver.h) derives the same quantity from the event stream;
-  // this is the in-process view. The per-slot state is only materialized
-  // when telemetry is enabled, so the disabled path pays one empty() check.
-  std::vector<double> ttp_pending_since;
-  telemetry::Histogram* ttp_policy_hist = nullptr;
-  if (telemetry::Enabled()) {
-    ttp_pending_since.resize(total_tasks);
-    for (std::size_t j = 0; j < workload.jobs.size(); ++j)
-      for (std::size_t s = 0; s < workload.jobs[j].task_runtimes.size(); ++s)
-        ttp_pending_since[job_task_offset[j] + s] =
-            workload.jobs[j].spec.arrival_time;
-    ttp_policy_hist = &telemetry::Registry::Get().GetHistogram(
-        "des.time_to_placement_ms." + policy.name);
-  }
-#endif
-
   // Places one task of job j on machine m at `now`: records metrics and
   // enqueues its completion. The scheduler has already debited resources.
   auto record_placement = [&](std::size_t j, MachineId m) {
@@ -314,14 +294,7 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
     result.jobs[j].first_schedule = std::min(result.jobs[j].first_schedule, now);
     const std::uint32_t generation = chaos ? attempt[slot] : 0;
     if (chaos) running_on[m].push_back(static_cast<std::uint32_t>(slot));
-#if defined(TSF_TELEMETRY)
-    if (!ttp_pending_since.empty()) {
-      const double ttp_ms = (now - ttp_pending_since[slot]) * 1000.0;
-      TSF_HISTOGRAM_RECORD("des.time_to_placement_ms", ttp_ms);
-      ttp_policy_hist->Record(ttp_ms);
-    }
-#endif
-    emit(SimStreamEvent::Kind::kPlace, now, j, slot, m, generation);
+    emit(StreamEvent::Kind::kPlace, now, j, slot, m, generation);
     events.Push(Event{task.finish, static_cast<std::uint32_t>(j),
                       static_cast<std::uint32_t>(m),
                       static_cast<std::uint32_t>(slot), generation});
@@ -351,9 +324,13 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
   auto take_sample = [&](double t) {
     for (const std::size_t j : user_to_job) {
       const JobState& js = state[j];
-      const long running = js.next_task - js.finished;
+      // A killed or failed slot waits in requeued[j] until re-placed: it
+      // is pending, not running.
+      const long retrying =
+          chaos ? static_cast<long>(requeued[j].size()) : 0;
+      const long running = js.next_task - js.finished - retrying;
       const long queued =
-          workload.jobs[j].spec.num_tasks - js.next_task;
+          workload.jobs[j].spec.num_tasks - js.next_task + retrying;
       if (running <= 0 && queued <= 0) continue;  // job already done
       telemetry::FairnessSample sample;
       sample.time = t;
@@ -454,7 +431,7 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
       user_to_job.push_back(j);
       TSF_CHECK_EQ(user_to_job.size(), js.user + 1);
       arrived_users.push_back(js.user);
-      emit(SimStreamEvent::Kind::kArrive, now, j, 0, 0, 0);
+      emit(StreamEvent::Kind::kArrive, now, j, 0, 0, 0);
       TSF_COUNTER_ADD("des.arrivals", 1);
     }
 
@@ -480,7 +457,7 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
         *it = on.back();
         on.pop_back();
       }
-      emit(SimStreamEvent::Kind::kFinish, now, j, event.task_slot,
+      emit(StreamEvent::Kind::kFinish, now, j, event.task_slot,
            event.machine, event.attempt);
       if (js.finished == workload.jobs[j].spec.num_tasks) {
         result.jobs[j].completion = now;
@@ -502,9 +479,6 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
       // pool; the finish event already queued for it dies by generation.
       auto requeue_task = [&](std::uint32_t slot) {
         ++attempt[slot];
-#if defined(TSF_TELEMETRY)
-        if (!ttp_pending_since.empty()) ttp_pending_since[slot] = now;
-#endif
         const std::size_t j = result.tasks[slot].job;
         scheduler.OnTaskFinish(state[j].user, m);
         scheduler.AddPending(state[j].user, 1);
@@ -519,14 +493,14 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
           // list to its front (see SimFault::Kind::kTaskFailure).
           std::vector<std::uint32_t>& on = running_on[m];
           for (std::size_t r = on.size(); r-- > 0;) {
-            emit(SimStreamEvent::Kind::kKill, now, result.tasks[on[r]].job,
+            emit(StreamEvent::Kind::kKill, now, result.tasks[on[r]].job,
                  on[r], m, attempt[on[r]]);
             requeue_task(on[r]);
           }
           on.clear();
           scheduler.CrashMachine(m);
           machine_up[m] = false;
-          emit(SimStreamEvent::Kind::kCrash, now, 0, 0, m, 0);
+          emit(StreamEvent::Kind::kCrash, now, 0, 0, m, 0);
           TSF_COUNTER_ADD("chaos.des.machine_crashes", 1);
           break;
         }
@@ -534,7 +508,7 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
           TSF_CHECK(!machine_up[m]) << "restart of up machine " << m;
           scheduler.RestoreMachine(m);
           machine_up[m] = true;
-          emit(SimStreamEvent::Kind::kRestart, now, 0, 0, m, 0);
+          emit(StreamEvent::Kind::kRestart, now, 0, 0, m, 0);
           freed_machines.push_back(m);
           TSF_COUNTER_ADD("chaos.des.machine_restarts", 1);
           break;
@@ -550,7 +524,7 @@ SimResult SimulateWith(const Workload& workload, const OnlinePolicy& policy,
           }
           const std::uint32_t slot = running_on[m].back();
           running_on[m].pop_back();
-          emit(SimStreamEvent::Kind::kFail, now, result.tasks[slot].job, slot,
+          emit(StreamEvent::Kind::kFail, now, result.tasks[slot].job, slot,
                m, attempt[slot]);
           requeue_task(slot);
           freed_machines.push_back(m);

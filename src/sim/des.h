@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/online/policy.h"
+#include "core/stream_event.h"
 #include "sim/workload.h"
 #include "telemetry/timeline.h"
 
@@ -83,26 +84,9 @@ struct SimFault {
   MachineId machine = 0;
 };
 
-// One record per simulator state transition, emitted in order when
-// SimOptions::stream is set. `task` is the global task slot (dense over
-// (job, index)); `attempt` counts placements of that slot (0-based).
-struct SimStreamEvent {
-  enum class Kind {
-    kArrive,   // job registered (task/machine/attempt zero)
-    kPlace,    // task placed on machine
-    kFinish,   // task completed on machine
-    kKill,     // task killed by a machine crash, requeued
-    kFail,     // task failed (machine stays up), requeued
-    kCrash,    // machine went down
-    kRestart,  // machine came back
-  };
-  double time = 0.0;
-  Kind kind = Kind::kArrive;
-  std::uint32_t job = 0;
-  std::uint32_t task = 0;  // global task slot
-  std::uint32_t machine = 0;
-  std::uint32_t attempt = 0;
-};
+// The former name of StreamEvent, kept only because perfbench/main.cc still
+// spells it; nothing else may use it.
+using SimStreamEvent = StreamEvent;
 
 // How the simulator models the machine set. kAuto collapses identical
 // machines into equivalence classes (core/cluster.h MachineClassIndex) when
@@ -129,8 +113,10 @@ struct SimOptions {
   std::vector<SimFault> faults;
 
   // When set, every state transition is appended here (the placement stream
-  // of the golden-determinism tests and the chaos invariant checkers).
-  std::vector<SimStreamEvent>* stream = nullptr;
+  // of the golden-determinism tests, the chaos invariant checkers and the
+  // load driver). `user` is the job index, `task` the global task slot
+  // (dense over (job, index)) and `attempt` the slot's placement generation.
+  std::vector<StreamEvent>* stream = nullptr;
 
   // Machine-set representation (see ClusterMode above).
   ClusterMode cluster_mode = ClusterMode::kAuto;

@@ -6,17 +6,6 @@
 
 namespace tsf::telemetry {
 
-bool WriteFairnessCsv(const std::string& path,
-                      const std::vector<FairnessSample>& samples) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) return false;
-  std::fputs("time,user,running,pending,dominant_share,task_share\n", file);
-  for (const FairnessSample& s : samples)
-    std::fprintf(file, "%.6f,%u,%u,%u,%.9g,%.9g\n", s.time, s.user, s.running,
-                 s.pending, s.dominant_share, s.task_share);
-  return std::fclose(file) == 0;
-}
-
 bool WriteFairnessJsonl(const std::string& path, std::string_view policy,
                         const std::vector<FairnessSample>& samples) {
   std::FILE* file = std::fopen(path.c_str(), "w");

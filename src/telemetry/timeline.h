@@ -22,10 +22,6 @@ struct FairnessSample {
   double task_share = 0.0;      // running / (h_i * w_i), the TSF quantity
 };
 
-// CSV with a header row: time,user,running,pending,dominant_share,task_share.
-bool WriteFairnessCsv(const std::string& path,
-                      const std::vector<FairnessSample>& samples);
-
 // One JSON object per line, tagged with the policy name.
 bool WriteFairnessJsonl(const std::string& path, std::string_view policy,
                         const std::vector<FairnessSample>& samples);

@@ -13,6 +13,7 @@
 #include "chaos/repro.h"
 #include "chaos/scenario.h"
 #include "chaos/shrink.h"
+#include "util/check.h"
 
 namespace tsf::chaos {
 namespace {
@@ -323,8 +324,11 @@ TEST(InvariantsTest, FinalizeCatchesMachineLeftDown) {
 // --- stream formatting / hashing --------------------------------------------
 
 TEST(StreamHashTest, FormatIsStable) {
-  EXPECT_EQ(FormatStreamEvent(Ev(1.5, Kind::kPlace, 2, 7, 1)),
-            "t=1.5 place user=2 task=7 machine=1");
+  StreamEvent retry = Ev(1.5, Kind::kPlace, 2, 7, 1);
+  EXPECT_EQ(FormatStreamEvent(retry), "t=1.5 place user=2 task=7 machine=1");
+  // The attempt is not printed, so it never moves a golden hash.
+  retry.attempt = 3;
+  EXPECT_EQ(FormatStreamEvent(retry), "t=1.5 place user=2 task=7 machine=1");
 }
 
 TEST(StreamHashTest, HashIsOrderAndContentSensitive) {
@@ -337,6 +341,142 @@ TEST(StreamHashTest, HashIsOrderAndContentSensitive) {
   EXPECT_NE(HashStream(a), HashStream(c));
   EXPECT_EQ(HashStream(a), HashStream(a));
   EXPECT_NE(HashStream({}), 0u);  // FNV offset basis, not zero
+}
+
+// --- checker mutation -------------------------------------------------------
+//
+// Every violation id fires on a minimal bad log: one edit to a clean log
+// recorded from a substrate. Both substrates record the same event type, so
+// one mutator serves both.
+
+struct RecordedLog {
+  ScenarioView view;
+  std::vector<StreamEvent> log;
+};
+
+// A clean faulted DES log. Two unit machines, one 4-task job of 10 s tasks;
+// machine 0 crashes at t=1 (killing its task) and restarts at t=5, where
+// the killed task is placed again.
+RecordedLog CleanDesLog() {
+  Workload workload;
+  workload.cluster.AddMachine(ResourceVector{1.0, 1.0});
+  workload.cluster.AddMachine(ResourceVector{1.0, 1.0});
+  JobSpec spec{.id = 0, .name = "j", .demand = {1.0, 1.0}};
+  spec.num_tasks = 4;
+  workload.jobs.push_back(MakeUniformJob(spec, 10.0));
+  RecordedLog recorded;
+  recorded.view = ViewOfWorkload(workload);
+  SimOptions options;
+  options.faults = {{1.0, SimFault::Kind::kMachineCrash, 0},
+                    {5.0, SimFault::Kind::kMachineRestart, 0}};
+  options.stream = &recorded.log;
+  Simulate(workload, OnlinePolicy::Tsf(), SimCore::kIncremental, options);
+  return recorded;
+}
+
+// A clean Mesos log. One unit slave, one 4-task framework of 2 s tasks that
+// disconnects at t=1 and re-registers at t=3.
+RecordedLog CleanMesosLog() {
+  mesos::ClusterConfig config;
+  config.slaves = {{ResourceVector{1.0, 256.0}, "n1"}};
+  config.sample_interval = 0.0;
+  const std::vector<mesos::FrameworkSpec> frameworks = {
+      {.name = "f", .start_time = 0.0, .num_tasks = 4,
+       .demand = ResourceVector{1.0, 256.0}, .mean_runtime = 2.0,
+       .runtime_jitter = 0.0}};
+  RecordedLog recorded;
+  recorded.view = ViewOfMesos(config, frameworks);
+  mesos::RunOptions options;
+  options.faults = {{1.0, mesos::Fault::Kind::kFrameworkDisconnect, 0},
+                    {3.0, mesos::Fault::Kind::kFrameworkReregister, 0}};
+  options.stream = &recorded.log;
+  mesos::RunCluster(config, frameworks, options);
+  return recorded;
+}
+
+enum class Edit { kDrop, kDuplicate, kSwapWithNext, kSetUser, kSetMachine };
+
+// Applies one edit to the first (or, with `last`, the final) event of
+// `kind`; `value` is the new user or machine of kSetUser/kSetMachine.
+std::vector<StreamEvent> Mutate(std::vector<StreamEvent> log, Kind kind,
+                                bool last, Edit edit, std::uint32_t value) {
+  std::size_t index = log.size();
+  for (std::size_t i = 0; i < log.size(); ++i)
+    if (log[i].kind == kind && (last || index == log.size())) index = i;
+  TSF_CHECK_LT(index, log.size()) << "no " << ToString(kind) << " event";
+  switch (edit) {
+    case Edit::kDrop:
+      log.erase(log.begin() + static_cast<std::ptrdiff_t>(index));
+      break;
+    case Edit::kDuplicate: {
+      const StreamEvent copy = log[index];
+      log.insert(log.begin() + static_cast<std::ptrdiff_t>(index), copy);
+      break;
+    }
+    case Edit::kSwapWithNext:
+      TSF_CHECK_LT(index + 1, log.size());
+      std::swap(log[index], log[index + 1]);
+      break;
+    case Edit::kSetUser:
+      log[index].user = value;
+      break;
+    case Edit::kSetMachine:
+      log[index].machine = value;
+      break;
+  }
+  return log;
+}
+
+TEST(CheckerMutationTest, CleanRecordedLogsHaveNoViolations) {
+  for (const RecordedLog& recorded : {CleanDesLog(), CleanMesosLog()}) {
+    const std::vector<Violation> violations =
+        CheckStream(recorded.view, recorded.log);
+    EXPECT_TRUE(violations.empty()) << ToString(violations.front());
+  }
+}
+
+TEST(CheckerMutationTest, EveryViolationFiresOnOneEdit) {
+  struct Case {
+    const char* invariant;
+    bool mesos;
+    Kind kind;
+    bool last;
+    Edit edit;
+    std::uint32_t value = 0;
+  };
+  const Case cases[] = {
+      {"duplicate_arrival", false, Kind::kArrive, false, Edit::kDuplicate},
+      {"place_before_arrival", false, Kind::kArrive, false, Edit::kDrop},
+      // The first finish is machine 1's task; it is not live on machine 0.
+      {"task_identity_mismatch", false, Kind::kFinish, false,
+       Edit::kSetMachine, 0},
+      // Without the restart, machine 0's retried task runs on a down machine.
+      {"finish_on_down_machine", false, Kind::kRestart, false, Edit::kDrop},
+      // Placed before the restart, the retried task is freed on top of the
+      // capacity the restart already restored.
+      {"free_capacity_overflow", false, Kind::kRestart, false,
+       Edit::kSwapWithNext},
+      {"crash_of_down_machine", false, Kind::kCrash, false, Edit::kDuplicate},
+      {"restart_of_up_machine", false, Kind::kRestart, false,
+       Edit::kDuplicate},
+      {"duplicate_disconnect", true, Kind::kDisconnect, false,
+       Edit::kDuplicate},
+      {"reregister_while_connected", true, Kind::kReregister, false,
+       Edit::kDuplicate},
+      {"unknown_user", true, Kind::kArrive, false, Edit::kSetUser, 1},
+      {"unknown_machine", true, Kind::kPlace, false, Edit::kSetMachine, 1},
+      {"conservation", true, Kind::kFinish, true, Edit::kDrop},
+  };
+  const RecordedLog des = CleanDesLog();
+  const RecordedLog mesos = CleanMesosLog();
+  for (const Case& c : cases) {
+    const RecordedLog& clean = c.mesos ? mesos : des;
+    const std::vector<Violation> violations = CheckStream(
+        clean.view, Mutate(clean.log, c.kind, c.last, c.edit, c.value));
+    EXPECT_TRUE(Contains(violations, c.invariant))
+        << c.invariant << " not among " << testing::PrintToString(
+               Invariants(violations));
+  }
 }
 
 // --- shrinker ---------------------------------------------------------------
@@ -469,6 +609,72 @@ TEST(ScenarioTest, MesosOfferLostAtTheDrainStillFinishes) {
     const ScenarioReport report = RunMesosScenario(RandomMesosScenario(seed));
     EXPECT_TRUE(report.ok())
         << "seed " << seed << ": " << ToString(report.violations.front());
+  }
+}
+
+// The DES fairness timeline agrees with its own log: every sample's running
+// and pending counts equal those derived from the events recorded before
+// the sample's instant (a sample shows the state just before the events at
+// its instant apply), including while a killed or failed task waits to be
+// placed again.
+TEST(ScenarioTest, DesFairnessSamplesMatchTheLog) {
+  constexpr double kInterval = 0.5;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const DesScenario scenario = RandomDesScenario(seed);
+    std::vector<StreamEvent> log;
+    SimOptions options;
+    options.faults = CompileForDes(scenario.plan);
+    options.stream = &log;
+    options.fairness_sample_interval = kInterval;
+    const std::vector<telemetry::FairnessSample> timeline =
+        Simulate(scenario.workload, OnlinePolicy::Tsf(),
+                 SimCore::kIncremental, options)
+            .fairness_timeline;
+    ASSERT_FALSE(log.empty());
+
+    const std::size_t users = scenario.workload.jobs.size();
+    std::vector<long> running(users, 0), pending(users, 0);
+    std::size_t next_event = 0;
+    std::size_t next_sample = 0;
+    for (double t = 0.0; t <= log.back().time; t += kInterval) {
+      for (; next_event < log.size() && log[next_event].time < t;
+           ++next_event) {
+        const StreamEvent& event = log[next_event];
+        switch (event.kind) {
+          case Kind::kArrive:
+            pending[event.user] +=
+                scenario.workload.jobs[event.user].spec.num_tasks;
+            break;
+          case Kind::kPlace:
+            --pending[event.user];
+            ++running[event.user];
+            break;
+          case Kind::kFinish:
+            --running[event.user];
+            break;
+          case Kind::kKill:
+          case Kind::kFail:
+            --running[event.user];
+            ++pending[event.user];
+            break;
+          default:
+            break;
+        }
+      }
+      // One sample per user with work left, in user order.
+      for (std::size_t u = 0; u < users; ++u) {
+        if (running[u] == 0 && pending[u] == 0) continue;
+        ASSERT_LT(next_sample, timeline.size()) << "seed " << seed;
+        const telemetry::FairnessSample& sample = timeline[next_sample++];
+        ASSERT_EQ(sample.time, t) << "seed " << seed << " user " << u;
+        ASSERT_EQ(sample.user, u) << "seed " << seed << " t=" << t;
+        EXPECT_EQ(sample.running, running[u])
+            << "seed " << seed << " t=" << t << " user " << u;
+        EXPECT_EQ(sample.pending, pending[u])
+            << "seed " << seed << " t=" << t << " user " << u;
+      }
+    }
+    EXPECT_EQ(next_sample, timeline.size()) << "seed " << seed;
   }
 }
 

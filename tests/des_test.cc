@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "sim/des.h"
 #include "sim/runner.h"
@@ -199,10 +200,10 @@ TEST(Runner, ReducerSeesEverySeedOnce) {
 
 // --- fault injection (chaos hooks) ------------------------------------------
 
-long CountKind(const std::vector<SimStreamEvent>& stream,
-               SimStreamEvent::Kind kind) {
+long CountKind(const std::vector<StreamEvent>& stream,
+               StreamEvent::Kind kind) {
   long count = 0;
-  for (const SimStreamEvent& event : stream) count += event.kind == kind;
+  for (const StreamEvent& event : stream) count += event.kind == kind;
   return count;
 }
 
@@ -216,7 +217,7 @@ TEST(DesFaults, CrashKillsRequeuesAndCompletes) {
   SimOptions options;
   options.faults = {{5.0, SimFault::Kind::kMachineCrash, 1},
                     {12.0, SimFault::Kind::kMachineRestart, 1}};
-  std::vector<SimStreamEvent> stream;
+  std::vector<StreamEvent> stream;
   options.stream = &stream;
   const SimResult result =
       Simulate(workload, OnlinePolicy::Tsf(), SimCore::kIncremental, options);
@@ -230,12 +231,12 @@ TEST(DesFaults, CrashKillsRequeuesAndCompletes) {
     retried += task.attempts > 1 ? 1 : 0;
   }
   EXPECT_EQ(retried, 2);
-  EXPECT_EQ(CountKind(stream, SimStreamEvent::Kind::kKill), 2);
-  EXPECT_EQ(CountKind(stream, SimStreamEvent::Kind::kCrash), 1);
-  EXPECT_EQ(CountKind(stream, SimStreamEvent::Kind::kRestart), 1);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kKill), 2);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kCrash), 1);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kRestart), 1);
   // 8 first placements + 2 retries.
-  EXPECT_EQ(CountKind(stream, SimStreamEvent::Kind::kPlace), 10);
-  EXPECT_EQ(CountKind(stream, SimStreamEvent::Kind::kFinish), 8);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kPlace), 10);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kFinish), 8);
   // Lost work stretches the run: 2 slots carry the tail.
   EXPECT_GT(result.makespan, 20.0);
 }
@@ -249,7 +250,7 @@ TEST(DesFaults, TaskFailureRetriesOnTheSpot) {
 
   SimOptions options;
   options.faults = {{2.0, SimFault::Kind::kTaskFailure, 0}};
-  std::vector<SimStreamEvent> stream;
+  std::vector<StreamEvent> stream;
   options.stream = &stream;
   const SimResult result =
       Simulate(workload, OnlinePolicy::Tsf(), SimCore::kIncremental, options);
@@ -257,7 +258,7 @@ TEST(DesFaults, TaskFailureRetriesOnTheSpot) {
   // The victim re-enters the pending pool and is placed again immediately
   // (the machine stayed up with a free slot): 2 + 5 = 7 s makespan.
   ASSERT_EQ(result.tasks.size(), 2u);
-  EXPECT_EQ(CountKind(stream, SimStreamEvent::Kind::kFail), 1);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kFail), 1);
   EXPECT_EQ(result.tasks[0].attempts + result.tasks[1].attempts, 3);
   EXPECT_DOUBLE_EQ(result.makespan, 7.0);
 }
@@ -281,25 +282,55 @@ TEST(DesFaults, TaskFailureHitsTheBackOfTheRunningList) {
 
   SimOptions options;
   options.faults = {{2.0, SimFault::Kind::kTaskFailure, 0}};
-  std::vector<SimStreamEvent> stream;
+  std::vector<StreamEvent> stream;
   options.stream = &stream;
   const SimResult result =
       Simulate(workload, OnlinePolicy::Tsf(), SimCore::kIncremental, options);
 
   std::vector<std::uint32_t> place_order;
-  for (const SimStreamEvent& event : stream)
-    if (event.kind == SimStreamEvent::Kind::kPlace && event.time == 0.0)
-      place_order.push_back(event.job);
+  for (const StreamEvent& event : stream)
+    if (event.kind == StreamEvent::Kind::kPlace && event.time == 0.0)
+      place_order.push_back(event.user);
   EXPECT_EQ(place_order, (std::vector<std::uint32_t>{0, 1, 2}));
-  ASSERT_EQ(CountKind(stream, SimStreamEvent::Kind::kFail), 1);
-  for (const SimStreamEvent& event : stream)
-    if (event.kind == SimStreamEvent::Kind::kFail) {
-      EXPECT_EQ(event.job, 1u);
+  ASSERT_EQ(CountKind(stream, StreamEvent::Kind::kFail), 1);
+  for (const StreamEvent& event : stream)
+    if (event.kind == StreamEvent::Kind::kFail) {
+      EXPECT_EQ(event.user, 1u);
       EXPECT_DOUBLE_EQ(event.time, 2.0);
     }
   // b is placed again on the spot: 2 + 10.
   EXPECT_DOUBLE_EQ(result.jobs[1].CompletionTime(), 12.0);
   EXPECT_DOUBLE_EQ(result.jobs[2].CompletionTime(), 10.0);
+}
+
+TEST(DesFaults, TimelineCountsARequeuedTaskAsPending) {
+  // Two unit machines, one 4-task job. Machine 0 crashes at t=1 and comes
+  // back at t=5; its killed task waits for it in the pending pool.
+  Workload workload;
+  workload.cluster = SmallCluster(2, 1.0, 1.0);
+  JobSpec spec{.id = 0, .name = "j", .demand = {1.0, 1.0}};
+  spec.num_tasks = 4;
+  workload.jobs.push_back(MakeUniformJob(spec, 10.0));
+
+  SimOptions options;
+  options.fairness_sample_interval = 1.0;
+  options.faults = {{1.0, SimFault::Kind::kMachineCrash, 0},
+                    {5.0, SimFault::Kind::kMachineRestart, 0}};
+  const SimResult result =
+      Simulate(workload, OnlinePolicy::Tsf(), SimCore::kIncremental, options);
+
+  // A sample shows the state just before the events at its instant apply:
+  // the job's arrival first shows at t=1, the kill at t=1 at t=2, and the
+  // re-placement at t=5 at t=6.
+  std::map<double, telemetry::FairnessSample> at;
+  for (const telemetry::FairnessSample& sample : result.fairness_timeline)
+    at[sample.time] = sample;
+  for (const double t : {1.0, 2.0, 3.0, 4.0, 5.0, 6.0}) {
+    ASSERT_EQ(at.count(t), 1u) << "t=" << t;
+    const bool down = t >= 2.0 && t <= 5.0;
+    EXPECT_EQ(at[t].running, down ? 1u : 2u) << "t=" << t;
+    EXPECT_EQ(at[t].pending, down ? 3u : 2u) << "t=" << t;
+  }
 }
 
 TEST(DesFaults, FaultsPreserveDifferentialStreamEquality) {
@@ -317,7 +348,7 @@ TEST(DesFaults, FaultsPreserveDifferentialStreamEquality) {
                                 {3.5, SimFault::Kind::kTaskFailure, 1},
                                 {6.0, SimFault::Kind::kMachineRestart, 0}};
   SimOptions reference_options = incremental_options;
-  std::vector<SimStreamEvent> incremental_stream, reference_stream;
+  std::vector<StreamEvent> incremental_stream, reference_stream;
   incremental_options.stream = &incremental_stream;
   reference_options.stream = &reference_stream;
   Simulate(workload, OnlinePolicy::Tsf(), SimCore::kIncremental,

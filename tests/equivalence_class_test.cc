@@ -115,25 +115,21 @@ TEST(EquivalenceClassTest, TraceProfileWorkloadCollapsedMatchesFlat) {
             workload.cluster.num_machines())
       << "profile menu failed to collapse the fleet";
 
-  auto run = [&](ClusterMode mode, std::vector<SimStreamEvent>* stream) {
+  auto run = [&](ClusterMode mode, std::vector<StreamEvent>* stream) {
     SimOptions options;
     options.cluster_mode = mode;
     options.stream = stream;
     return Simulate(workload, OnlinePolicy::Tsf(), SimCore::kIncremental,
                     options);
   };
-  std::vector<SimStreamEvent> flat_stream, collapsed_stream;
+  std::vector<StreamEvent> flat_stream, collapsed_stream;
   const SimResult flat = run(ClusterMode::kFlat, &flat_stream);
   const SimResult collapsed = run(ClusterMode::kCollapsed, &collapsed_stream);
 
   EXPECT_EQ(flat.makespan, collapsed.makespan);
   ASSERT_EQ(flat_stream.size(), collapsed_stream.size());
   for (std::size_t i = 0; i < flat_stream.size(); ++i) {
-    const SimStreamEvent& a = flat_stream[i];
-    const SimStreamEvent& b = collapsed_stream[i];
-    ASSERT_TRUE(a.time == b.time && a.kind == b.kind && a.job == b.job &&
-                a.task == b.task && a.machine == b.machine &&
-                a.attempt == b.attempt)
+    ASSERT_TRUE(flat_stream[i] == collapsed_stream[i])
         << "first divergence at event #" << i;
   }
   ASSERT_EQ(flat.tasks.size(), collapsed.tasks.size());

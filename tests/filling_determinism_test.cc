@@ -111,17 +111,6 @@ TEST(FillingDeterminismTest, ParallelFreezeMatchesSerialBitForBit) {
   }
 }
 
-TEST(FillingDeterminismTest, SerialProbesFlagForcesReferencePath) {
-  ThreadPool pool(4);
-  FillingOptions forced_serial;
-  forced_serial.pool = &pool;
-  forced_serial.serial_probes = true;
-  const CompiledProblem problem = Compile(RandomSharing(8, 8, 42));
-  const FillingResult serial = SolveTsf(problem);
-  const FillingResult forced = SolveTsf(problem, forced_serial);
-  ExpectBitIdentical(serial, forced, problem, 42);
-}
-
 TEST(FillingDeterminismTest, ParallelMatchesSerialAcrossPolicies) {
   ThreadPool pool(4);
   FillingOptions parallel;

@@ -230,12 +230,12 @@ std::map<std::string, std::string> ComputeHashes() {
       << "the paper trace must stay on the flat engine";
   for (const OnlinePolicy& policy :
        {OnlinePolicy::Fifo(), OnlinePolicy::Drf(), OnlinePolicy::Tsf()}) {
-    std::vector<SimStreamEvent> stream;
+    std::vector<StreamEvent> stream;
     SimOptions options;
     options.stream = &stream;
     Simulate(paper_trace, policy, SimCore::kIncremental, options);
     hashes["des-trace " + policy.name + " seed=1"] =
-        HashHex(HashStream(ConvertDesStream(stream)));
+        HashHex(HashStream(stream));
   }
   return hashes;
 }

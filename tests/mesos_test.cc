@@ -2,6 +2,8 @@
 // plateaus the paper derives analytically for the Table II micro-benchmark.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
 
 #include "load/stream.h"
@@ -207,10 +209,10 @@ TEST(RunCluster, ExactlyFullSlavesAreSkippedNotOffered) {
   EXPECT_EQ(outcome.stats.down_slave_skips, 0);
 }
 
-long CountKind(const std::vector<MasterEvent>& stream,
-               MasterEvent::Kind kind) {
+long CountKind(const std::vector<StreamEvent>& stream,
+               StreamEvent::Kind kind) {
   long count = 0;
-  for (const MasterEvent& event : stream) count += event.kind == kind;
+  for (const StreamEvent& event : stream) count += event.kind == kind;
   return count;
 }
 
@@ -225,18 +227,18 @@ TEST(RunCluster, SlaveCrashReschedulesKilledTasks) {
   RunOptions options;
   options.faults = {{2.0, Fault::Kind::kSlaveCrash, 1},
                     {3.0, Fault::Kind::kSlaveRestart, 1}};
-  std::vector<MasterEvent> stream;
+  std::vector<StreamEvent> stream;
   options.stream = &stream;
   const SimOutcome outcome = RunCluster(config, {fw}, options);
 
   // The two tasks killed on slave 1 relaunch (fresh launch ids) and every
   // logical task still completes exactly once.
   EXPECT_EQ(outcome.frameworks[0].tasks_run, 8);
-  EXPECT_EQ(CountKind(stream, MasterEvent::Kind::kKill), 2);
-  EXPECT_EQ(CountKind(stream, MasterEvent::Kind::kCrash), 1);
-  EXPECT_EQ(CountKind(stream, MasterEvent::Kind::kRestart), 1);
-  EXPECT_EQ(CountKind(stream, MasterEvent::Kind::kLaunch), 10);
-  EXPECT_EQ(CountKind(stream, MasterEvent::Kind::kFinish), 8);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kKill), 2);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kCrash), 1);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kRestart), 1);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kPlace), 10);
+  EXPECT_EQ(CountKind(stream, StreamEvent::Kind::kFinish), 8);
   EXPECT_GT(outcome.stats.down_slave_skips, 0);
 }
 
@@ -307,13 +309,37 @@ TEST(RunCluster, OfferLostAtTheDrainIsReoffered) {
 // capacity. One-slot slaves: every demand is the whole <1 CPU, 256 MB> node.
 
 // The first launch of `framework` in `stream`, or nullptr.
-const MasterEvent* FirstLaunch(const std::vector<MasterEvent>& stream,
+const StreamEvent* FirstLaunch(const std::vector<StreamEvent>& stream,
                                std::uint32_t framework) {
-  for (const MasterEvent& event : stream)
-    if (event.kind == MasterEvent::Kind::kLaunch &&
-        event.framework == framework)
+  for (const StreamEvent& event : stream)
+    if (event.kind == StreamEvent::Kind::kPlace &&
+        event.user == framework)
       return &event;
   return nullptr;
+}
+
+TEST(RunClusterDeathTest, NeverFinishingFrameworkAbortsWithTimelineOn) {
+  // The framework disconnects at t=1 and never re-registers, so its second
+  // task can never launch. With the share timeline on (the default), the
+  // run must still drain and reach the "did not finish" check instead of
+  // sampling forever.
+  ClusterConfig config;
+  config.slaves = {{ResourceVector{1.0, 256.0}, "n1"}};
+  ASSERT_GT(config.sample_interval, 0.0);
+  FrameworkSpec fw{.name = "f", .start_time = 0.0, .num_tasks = 2,
+                   .demand = ResourceVector{1.0, 256.0}, .mean_runtime = 5.0,
+                   .runtime_jitter = 0.0};
+  RunOptions options;
+  options.faults = {{1.0, Fault::Kind::kFrameworkDisconnect, 0}};
+  // A run that never drains grows its timeline by hundreds of MB a second;
+  // the alarm ends such a child within a second, so the test fails (no
+  // "did not finish") instead of exhausting memory.
+  EXPECT_DEATH(
+      {
+        alarm(1);
+        RunCluster(config, {fw}, options);
+      },
+      "did not finish");
 }
 
 ClusterConfig OneSlotSlaves(std::size_t count) {
@@ -346,14 +372,14 @@ TEST(DeclineBacklog, TaskFailureOffersTheFreedSlaveAtOnce) {
       UnitFramework("churn", 0.0, 10, 1.0, {1})};
   RunOptions options;
   options.faults = {{5.5, Fault::Kind::kTaskFailure, 0}};
-  std::vector<MasterEvent> stream;
+  std::vector<StreamEvent> stream;
   options.stream = &stream;
   const SimOutcome outcome = RunCluster(config, fws, options);
 
-  const MasterEvent* launch = FirstLaunch(stream, 0);
+  const StreamEvent* launch = FirstLaunch(stream, 0);
   ASSERT_NE(launch, nullptr);
   EXPECT_DOUBLE_EQ(launch->time, 5.5);
-  EXPECT_EQ(launch->slave, 0u);
+  EXPECT_EQ(launch->machine, 0u);
   EXPECT_GT(outcome.stats.offers_declined, 4);
   // The failed hog task relaunches once pinned's task finishes.
   EXPECT_DOUBLE_EQ(outcome.frameworks[1].completion_time, 107.5);
@@ -369,14 +395,14 @@ TEST(DeclineBacklog, DeclineDuringOutageLaunchesAtRestart) {
   RunOptions options;
   options.faults = {{1.0, Fault::Kind::kSlaveCrash, 0},
                     {6.0, Fault::Kind::kSlaveRestart, 0}};
-  std::vector<MasterEvent> stream;
+  std::vector<StreamEvent> stream;
   options.stream = &stream;
   const SimOutcome outcome = RunCluster(config, fws, options);
 
-  const MasterEvent* launch = FirstLaunch(stream, 0);
+  const StreamEvent* launch = FirstLaunch(stream, 0);
   ASSERT_NE(launch, nullptr);
   EXPECT_DOUBLE_EQ(launch->time, 6.0);
-  EXPECT_EQ(launch->slave, 0u);
+  EXPECT_EQ(launch->machine, 0u);
   EXPECT_DOUBLE_EQ(outcome.frameworks[0].completion_time, 9.0);
   EXPECT_GT(outcome.stats.down_slave_skips, 0);
 }
@@ -392,10 +418,10 @@ TEST(DeclineBacklog, DisconnectAndReregisterMidBacklog) {
     RunOptions options;
     options.faults = {{1.0, Fault::Kind::kFrameworkDisconnect, 1},
                       {reregister, Fault::Kind::kFrameworkReregister, 1}};
-    std::vector<MasterEvent> stream;
+    std::vector<StreamEvent> stream;
     options.stream = &stream;
     const SimOutcome outcome = RunCluster(config, fws, options);
-    const MasterEvent* launch = FirstLaunch(stream, 1);
+    const StreamEvent* launch = FirstLaunch(stream, 1);
     EXPECT_NE(launch, nullptr);
     return std::make_pair(launch == nullptr ? -1.0 : launch->time,
                           outcome.frameworks[1].completion_time);
@@ -429,14 +455,14 @@ TEST(DeclineBacklog, LeakedFinishOnDownSlaveIsNeverOffered) {
   RunOptions options;
   options.faults = {{2.0, Fault::Kind::kSlaveCrash, 0},
                     {9.0, Fault::Kind::kSlaveRestart, 0}};
-  std::vector<MasterEvent> stream;
+  std::vector<StreamEvent> stream;
   options.stream = &stream;
   const SimOutcome outcome = RunCluster(config, fws, options);
 
-  const MasterEvent* launch = FirstLaunch(stream, 1);
+  const StreamEvent* launch = FirstLaunch(stream, 1);
   ASSERT_NE(launch, nullptr);
   EXPECT_DOUBLE_EQ(launch->time, 9.0);
-  EXPECT_EQ(launch->slave, 0u);
+  EXPECT_EQ(launch->machine, 0u);
   EXPECT_DOUBLE_EQ(outcome.frameworks[1].completion_time, 10.0);
 }
 
@@ -475,19 +501,19 @@ TEST(RunCluster, TaskFailureHitsTheBackOfTheRunningList) {
                                           UnitFramework("c", 0.0, 1, 10.0, {})};
   RunOptions options;
   options.faults = {{2.0, Fault::Kind::kTaskFailure, 0}};
-  std::vector<MasterEvent> stream;
+  std::vector<StreamEvent> stream;
   options.stream = &stream;
   const SimOutcome outcome = RunCluster(config, fws, options);
 
   std::vector<std::uint32_t> launch_order;
-  for (const MasterEvent& event : stream)
-    if (event.kind == MasterEvent::Kind::kLaunch && event.time == 0.0)
-      launch_order.push_back(event.framework);
+  for (const StreamEvent& event : stream)
+    if (event.kind == StreamEvent::Kind::kPlace && event.time == 0.0)
+      launch_order.push_back(event.user);
   EXPECT_EQ(launch_order, (std::vector<std::uint32_t>{0, 1, 2}));
-  ASSERT_EQ(CountKind(stream, MasterEvent::Kind::kFail), 1);
-  for (const MasterEvent& event : stream)
-    if (event.kind == MasterEvent::Kind::kFail) {
-      EXPECT_EQ(event.framework, 1u);
+  ASSERT_EQ(CountKind(stream, StreamEvent::Kind::kFail), 1);
+  for (const StreamEvent& event : stream)
+    if (event.kind == StreamEvent::Kind::kFail) {
+      EXPECT_EQ(event.user, 1u);
       EXPECT_EQ(event.task, 1u);
       EXPECT_DOUBLE_EQ(event.time, 2.0);
     }

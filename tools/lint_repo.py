@@ -68,7 +68,6 @@ ENTRY_POINT_CHECK_ALLOWLIST = {
 # simulator references these types unconditionally by design.
 TELEMETRY_DATA_API = (
     "FairnessSample",
-    "WriteFairnessCsv",
     "WriteFairnessJsonl",
     # Offline accumulation over recorded event streams (src/load driver,
     # tools/): plain data math, no registry, compiled unconditionally.
